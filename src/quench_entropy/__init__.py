@@ -16,8 +16,8 @@ from .evolution import (EvolutionSetup, GaussianPureState, evolve, lambda_of_t,
 from .pipeline import (BoundRow, BoundSeries, ScenarioConfig, run_figure1,
                        run_series, run_sweep)
 from .reduction import (BlockPartition, EntropyRecord, ReducedGaussianState,
-                        densify, det_bound, entropy_record, exact_entropy,
-                        partition, purity, reduce)
+                        SymbolRecord, densify, det_bound, entropy_record,
+                        exact_entropy, partition, purity, reduce, symbol_record)
 from .spectral import (CirculantMatrix, SpectralExtrema, TrigPolynomial,
                        build_circulant, evaluate, extrema, gap_family,
                        group_velocity_bound, is_critical, parse_spectral_spec)
@@ -37,7 +37,7 @@ __all__ = [
     "GrowthFit", "IllConditionedError", "LightConeProfile",
     "QuadratureError", "QuenchEntropyError", "ReducedGaussianState",
     "ScenarioConfig", "ShortTimeFit", "SpectralExtrema", "SpectralSpecError",
-    "TailCriterionError", "TrigPolynomial", "bk_bound", "bk_coeffs",
+    "SymbolRecord", "TailCriterionError", "TrigPolynomial", "bk_bound", "bk_coeffs",
     "build_circulant", "compute_fourier_series", "densify", "det_bound",
     "entropy_record", "evaluate", "evolve", "exact_entropy", "extrema",
     "fit_linear", "fit_quadratic_short_time", "gap_family",
@@ -45,5 +45,5 @@ __all__ = [
     "light_cone_profile", "log_symbol_coeffs", "mode_symbol", "mu_sigma",
     "parse_spectral_spec", "parseval_check", "partition", "purity", "reduce",
     "riccati_oracle", "run_figure1", "run_series", "run_sweep",
-    "run_verification", "short_time_lambda", "szego_sum", "szego_sum_for",
+    "run_verification", "short_time_lambda", "symbol_record", "szego_sum", "szego_sum_for",
 ]

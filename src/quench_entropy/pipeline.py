@@ -170,17 +170,11 @@ def compute_row(lam: TrigPolynomial, beta: TrigPolynomial, N: int, n: int,
     bk_val = szego.bk_bound(lam, beta, t, k_max) if coupling_gapped else float("nan")
 
     if with_dense:
-        state = evolve(EvolutionSetup(lam, beta, N), t)
-        dense = reduction.densify(state)
-        blocks = reduction.partition(dense, n)
-        red = reduction.reduce(blocks)
-        if red.identity_residual > _RESIDUAL_TOL:
+        rec = reduction.symbol_record(evolve(EvolutionSetup(lam, beta, N), t), n)
+        if rec.identity_residual > _RESIDUAL_TOL:
             raise ConsistencyError(
-                f"block-inverse identity residual {red.identity_residual:.3g} at t={t}")
-        p = reduction.purity(blocks)
-        exact = reduction.exact_entropy(dense, n)
-        nlp = -float(np.log(p)) + 0.0
-        det = reduction.det_bound(blocks)
+                f"block-inverse identity residual {rec.identity_residual:.3g} at t={t}")
+        exact, nlp, det = rec.exact_entropy, rec.neg_log_purity, rec.det_bound
         if exact < nlp - _CHAIN_TOL or nlp < det - _CHAIN_TOL:
             raise ConsistencyError(
                 f"entropy bound chain violated at t={t}: "
@@ -226,13 +220,15 @@ def run_series(config: ScenarioConfig) -> BoundSeries:
     return BoundSeries(rows=tuple(rows), metadata={"config": config.to_json_dict()})
 
 
+def _csv_line(r: BoundRow, *lead: float) -> str:
+    """One CSV row at full precision, after any leading columns."""
+    return ",".join("%.17g" % v for v in (
+        *lead, r.t, r.exact_entropy, r.neg_log_purity, r.det_bound,
+        r.szego_sum, r.bk_bound))
+
+
 def format_csv(series: BoundSeries) -> str:
-    lines = [CSV_HEADER]
-    for r in series.rows:
-        lines.append(",".join("%.17g" % v for v in (
-            r.t, r.exact_entropy, r.neg_log_purity, r.det_bound,
-            r.szego_sum, r.bk_bound)))
-    return "\n".join(lines) + "\n"
+    return "\n".join([CSV_HEADER, *map(_csv_line, series.rows)]) + "\n"
 
 
 def write_csv(series: BoundSeries, out: str | None) -> None:
@@ -373,8 +369,5 @@ def run_sweep(base: ScenarioConfig, param: str, values) -> tuple[str, list]:
                              metadata={"config": cfg.to_json_dict(),
                                        "param": param, "param_value": value})
         out_series.append(series)
-        for r in series.rows:
-            lines.append("%.17g," % float(value) + ",".join("%.17g" % v for v in (
-                r.t, r.exact_entropy, r.neg_log_purity, r.det_bound,
-                r.szego_sum, r.bk_bound)))
+        lines.extend(_csv_line(r, float(value)) for r in series.rows)
     return "\n".join(lines) + "\n", out_series

@@ -14,6 +14,11 @@ overflow double precision long before the sizes of interest.
 A coupling block that is exactly zero short-circuits to the analytic
 product-state answers (purity 1, every bound 0). That is an identity, not an
 approximation, and it keeps genuinely uncoupled configurations exactly clean.
+
+`symbol_record` gives the same three columns without any N x N matrix: every
+block above is a Toeplitz matrix of a symbol built from the mode amplitudes.
+The pipeline uses it; the dense functions stay as its reference
+implementation, used by the tests and `verify`.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ import dataclasses
 
 import numpy as np
 from scipy.linalg import circulant as _circulant_from_row
+from scipy.linalg import solve_triangular, toeplitz
+from scipy.special import xlogy
 
 from .errors import ConsistencyError, IllConditionedError
 from .evolution import GaussianPureState
@@ -57,6 +64,20 @@ class ReducedGaussianState:
     delta: np.ndarray
     norm: float
     identity_residual: float
+
+
+@dataclasses.dataclass(frozen=True)
+class SymbolRecord:
+    """Dense-side columns of one time point, with the checks' recorded figures."""
+
+    t: float
+    exact_entropy: float
+    neg_log_purity: float
+    det_bound: float
+    identity_residual: float
+    condition_estimate: float
+    n: int
+    N: int
 
 
 @dataclasses.dataclass(frozen=True)
@@ -258,3 +279,126 @@ def entropy_record(A: np.ndarray, n: int, t: float) -> EntropyRecord:
         neg_log_purity=-float(np.log(p)) + 0.0,
         det_bound=det_bound(blocks),
         n=n, N=A.shape[0])
+
+
+def _circulant_rows(a: np.ndarray) -> dict:
+    """First rows of the circulants `symbol_record` cuts its blocks from.
+
+    "A" is the state's row, symmetrised r_k <- (r_k + r_{N-k})/2 exactly as
+    `densify` does, so its Toeplitz blocks are the dense blocks bit for bit.
+    The others are inverse DFTs of symbols built from the equally symmetrised
+    mode symbols ("symbols", with Lambda = Re a): "inv" of 1/a (A^{-1}),
+    "inv_real" of 1/Lambda ((Re A)^{-1}), and "pp"/"xp" of |a|^2/(2 Lambda)
+    and -Im a/(2 Lambda), the <pp> and <xp> second moments (<xx> is
+    inv_real/2).
+    """
+    r = np.fft.ifft(a)
+    a = 0.5 * (a + np.roll(a[::-1], 1))
+    lam = a.real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return {
+            "A": 0.5 * (r + np.roll(r[::-1], 1)),
+            "symbols": a,
+            "inv": np.fft.ifft(1.0 / a),
+            "inv_real": np.fft.ifft(1.0 / lam).real,
+            "pp": np.fft.ifft(np.abs(a) ** 2 / (2.0 * lam)).real,
+            "xp": np.fft.ifft(-a.imag / (2.0 * lam)).real,
+        }
+
+
+def _cholesky(M: np.ndarray, what: str) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise ConsistencyError(f"{what} is not positive definite") from exc
+
+
+def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
+    """The three dense-side columns for a cut of n, without densifying the state.
+
+    The state is circulant, so every block the dense route (`partition`,
+    `reduce`, `purity`, `exact_entropy`, `det_bound`) reads is a Toeplitz
+    matrix cut from the first row of a circulant, and each such row is one
+    inverse DFT of a symbol built from the mode symbols. Every check of the
+    dense route is kept, with its exception and tolerance: the 1-norm
+    condition estimate, positivity of the traced and kept real blocks,
+    agreement of the moment and phase forms of the purity, purity of the
+    global state, and nu_min >= 1/2 for the reduced state. The Schur residual
+    |P~^{-1} - (R~ - C~^T T~^{-1} C~)| is returned for the caller to judge;
+    P~ comes from the symbol 1/Lambda, so it checks that symbol's inverse
+    against the Schur complement of the blocks of Re A. An exactly zero
+    coupling block gives exactly zero columns, as on the dense route.
+
+    The Williamson spectrum of the reduced covariance V = L L^T is the
+    positive half of the eigenvalues of the Hermitian i L^T Omega L, taken on
+    the smaller side of the cut.
+    """
+    a = np.asarray(state.mode_symbols, dtype=complex)
+    N = a.shape[0]
+    if not (0 < n < N):
+        raise ValueError(f"cut size n={n} must satisfy 0 < n < N={N}")
+    m = N - n
+    rows = _circulant_rows(a)
+    s = rows["A"]
+    cond = float(np.abs(s).sum() * np.abs(rows["inv"]).sum())
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
+        raise IllConditionedError(
+            f"matrix too ill-conditioned to partition (estimate {cond:.3g})",
+            condition_estimate=cond)
+    T_t = toeplitz(s.real[:n])
+    R_t = toeplitz(s.real[:m])
+    chol_t = _cholesky(T_t, "real part of the traced block")
+    _cholesky(R_t, "real part of the kept block")
+
+    # global purity, mode by mode: the DFT block-diagonalises the covariance
+    # into the 2x2 blocks [[1, -Im a], [-Im a, |a|^2]] / (2 Lambda)
+    sym = rows["symbols"]
+    lam = sym.real
+    if not (lam > 0.0).all():
+        raise ConsistencyError("real part of the mode symbols is not positive")
+    nu_modes = np.sqrt((np.abs(sym) ** 2 - sym.imag ** 2) / (4.0 * lam * lam))
+    worst = float(np.abs(nu_modes - 0.5).max())
+    if not worst <= 1e-8:
+        raise ConsistencyError(f"global state is not pure: max |nu - 1/2| = {worst:.3g}")
+
+    t = float(state.time)
+    if not s[1:].any():
+        return SymbolRecord(t=t, exact_entropy=0.0, neg_log_purity=0.0, det_bound=0.0,
+                            identity_residual=0.0, condition_estimate=cond, n=n, N=N)
+
+    # C = X + iZ; with Y = L_T^{-1} C, X^T T~^{-1} X = Yx^T Yx, likewise for Z
+    Yx = solve_triangular(chol_t, toeplitz(s.real[n:0:-1], s.real[n:]), lower=True)
+    Yz = solve_triangular(chol_t, toeplitz(s.imag[n:0:-1], s.imag[n:]), lower=True)
+    schur = R_t - Yx.T @ Yx
+    P_t = toeplitz(rows["inv_real"][:m])
+    residual = float(np.linalg.norm(np.linalg.inv(P_t) - schur))
+
+    # moment form: 2 Re(Gamma - Delta) = R~ - X^T T~^{-1} X and
+    # 2 Re(Gamma + Delta) = R~ + Z^T T~^{-1} Z; the phase form uses the latter
+    ld_p = logdet_pd(P_t)
+    ld_plus = logdet_pd(R_t + Yz.T @ Yz)
+    log_p1 = -ld_p - 0.5 * (logdet_pd(schur) + ld_plus)
+    log_p2 = -0.5 * (ld_p + ld_plus)
+    if abs(log_p1 - log_p2) > _PURITY_AGREE_TOL:
+        raise ConsistencyError(
+            f"purity formulas disagree: {np.exp(log_p1):.12g} vs {np.exp(log_p2):.12g}")
+    p = float(np.exp(log_p1))
+    if p > 1.0 + 1e-8:
+        raise ConsistencyError(f"purity {p:.12g} exceeds 1")
+
+    # a pure global state gives both sides of the cut the same nu != 1/2, so
+    # the spectrum is read from the covariance of the smaller side
+    k = min(n, m)
+    xp = toeplitz(rows["xp"][:k])
+    cov = np.block([[toeplitz(0.5 * rows["inv_real"][:k]), xp],
+                    [xp, toeplitz(rows["pp"][:k])]])
+    L = _cholesky(cov, "reduced covariance")
+    nu = np.linalg.eigvalsh(1j * (L.T @ np.vstack([L[k:], -L[:k]])))[k:]
+    if nu.min() < 0.5 - 1e-8:
+        raise ConsistencyError(f"unphysical covariance: nu_min = {nu.min():.12g} < 1/2")
+    nu = np.maximum(nu, 0.5)
+    return SymbolRecord(
+        t=t, exact_entropy=float(np.sum(xlogy(nu + 0.5, nu + 0.5) - xlogy(nu - 0.5, nu - 0.5))),
+        neg_log_purity=-float(np.log(min(p, 1.0))) + 0.0,
+        det_bound=0.5 * (ld_p + logdet_pd(R_t)),
+        identity_residual=residual, condition_estimate=cond, n=n, N=N)

@@ -343,12 +343,13 @@ def fit_linear(t, values, window) -> GrowthFit:
 def fit_quadratic_short_time(t, values, t_max: float) -> ShortTimeFit:
     """Fit a + b t^2 to the points with t <= t_max and measure the actual exponent.
 
-    The exponent is the log-log slope of (value - value at t = 0) against t over
-    the strictly positive times of the window. It is measured against the t = 0
-    sample, not against the fitted a, because that intercept absorbs part of
-    any departure from t^2 and would bias the slope. The exponent is nan when
-    the window holds no t = 0 sample, or when the growth over the t = 0 value
-    is not strictly positive at every positive time (a flat series included).
+    The exponent is the log-log slope of |value - value at t = 0| against t over
+    the strictly positive times of the window, so an onset that dips is
+    measured like one that rises. It is measured against the t = 0 sample, not
+    against the fitted a, because that intercept absorbs part of any departure
+    from t^2 and would bias the slope. The exponent is nan when the window
+    holds no t = 0 sample, or when the growth over the t = 0 value does not
+    keep one strict sign at every positive time (a flat series included).
     """
     t = np.asarray(t, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -361,8 +362,8 @@ def fit_quadratic_short_time(t, values, t_max: float) -> ShortTimeFit:
     pos = tw > 0.0
     origin = vw[tw == 0.0]
     resid = vw[pos] - origin[0] if origin.size else np.zeros(0)
-    if resid.size == 0 or np.any(resid <= 0.0):
+    if resid.size == 0 or not (np.all(resid > 0.0) or np.all(resid < 0.0)):
         exponent = float("nan")
     else:
-        exponent = float(np.polyfit(np.log(tw[pos]), np.log(resid), 1)[0])
+        exponent = float(np.polyfit(np.log(tw[pos]), np.log(np.abs(resid)), 1)[0])
     return ShortTimeFit(kappa1=float(a), kappa2=float(b), exponent=exponent)

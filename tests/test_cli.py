@@ -7,6 +7,7 @@ injection ones run in-process so a single operation can be monkeypatched.
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -15,7 +16,8 @@ import pytest
 
 from quench_entropy import (ConsistencyError, EvolutionSetup, TrigPolynomial,
                             evolve, gap_family)
-from quench_entropy import cli, reduction
+import quench_entropy
+from quench_entropy import cli, pipeline, reduction
 from quench_entropy.evolution import GaussianPureState
 from quench_entropy.pipeline import CSV_HEADER
 from quench_entropy.szego import szego_sum_for
@@ -24,9 +26,16 @@ from quench_entropy.verify import _reduction_family
 LAM15 = "gap:c=1.5"
 
 
+# the child imports the package this process imported, installed or not
+_PKG_ROOT = os.path.dirname(os.path.dirname(quench_entropy.__file__))
+_CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (_PKG_ROOT, os.environ.get("PYTHONPATH")) if p)}
+
+
 def run_cli(*args, timeout=300):
     return subprocess.run([sys.executable, "-m", "quench_entropy", *args],
-                          capture_output=True, text=True, timeout=timeout)
+                          capture_output=True, text=True, timeout=timeout,
+                          env=_CHILD_ENV)
 
 
 def parse_csv(text):
@@ -207,6 +216,23 @@ def test_fault_injection_breaks_purity(monkeypatch):
     # the verification family sees the same corruption and reports it
     report = _reduction_family(True).report()
     assert report["passed"] is False
+
+
+def test_fault_injection_breaks_symbol_record(monkeypatch):
+    # the same row passes clean; a 1 % error in the (Re A)^{-1} symbol that
+    # symbol_record cuts P~ from must trip one of its kept checks
+    args = (gap_family(1.5), TrigPolynomial([1.0, 0.1]), 16, 8, 2.0, None, True, True)
+    pipeline.compute_row(*args)
+    real_rows = reduction._circulant_rows
+
+    def corrupted(a):
+        rows = real_rows(a)
+        rows["inv_real"] = 1.01 * rows["inv_real"]
+        return rows
+
+    monkeypatch.setattr(reduction, "_circulant_rows", corrupted)
+    with pytest.raises(ConsistencyError):
+        pipeline.compute_row(*args)
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

@@ -3,18 +3,23 @@
 The randomized checks draw small gapped instances with a fixed seed; the frozen
 values were produced by this code once and pinned, then cross-checked against
 the independent routes exercised in the verification suites (ODE oracle,
-symplectic purity, Parseval identity).
+symplectic purity, Parseval identity). `symbol_record`, the Toeplitz-block
+route the pipeline uses, is cross-checked against the dense-matrix functions,
+which stay as its reference implementation.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quench_entropy import (ConsistencyError, EvolutionSetup,
-                            IllConditionedError, TrigPolynomial, densify,
-                            det_bound, entropy_record, evolve, exact_entropy,
-                            gap_family, partition, purity, reduce)
+                            GaussianPureState, IllConditionedError,
+                            TrigPolynomial, densify, det_bound, entropy_record,
+                            evolve, exact_entropy, gap_family, partition,
+                            purity, reduce, symbol_record)
 from quench_entropy.reduction import logdet_pd
 
 LAM15 = gap_family(1.5)
@@ -253,3 +258,105 @@ def test_entropy_record_fields():
     assert record.neg_log_purity == 0.0
     assert math.copysign(1.0, record.neg_log_purity) == 1.0
     assert record.det_bound == 0.0
+
+
+# ---------------------------------------------------------------------------
+# symbol_record: Toeplitz blocks of the mode symbols against the dense route
+# ---------------------------------------------------------------------------
+
+RECORD_FIELDS = ("exact_entropy", "neg_log_purity", "det_bound",
+                 "identity_residual", "condition_estimate")
+
+
+def _dense_record(state, n):
+    dense = densify(state)
+    blocks = partition(dense, n)
+    return {
+        "exact_entropy": exact_entropy(dense, n),
+        "neg_log_purity": -math.log(purity(blocks)) + 0.0,
+        "det_bound": det_bound(blocks),
+        "identity_residual": reduce(blocks).identity_residual,
+        "condition_estimate": blocks.condition_estimate,
+    }
+
+
+def _assert_matches_dense(lam, beta, N, n, t):
+    state = evolve(EvolutionSetup(lam, beta, N), t)
+    ref = _dense_record(state, n)
+    rec = symbol_record(state, n)
+    assert (rec.t, rec.n, rec.N) == (t, n, N)
+    for field in RECORD_FIELDS:
+        got = getattr(rec, field)
+        assert abs(got - ref[field]) <= 1e-10 + 1e-9 * abs(ref[field]), \
+            (field, got, ref[field], lam.coeffs, beta.coeffs, N, n, t)
+    return rec
+
+
+def test_symbol_record_matches_dense_random_instances():
+    rng = np.random.default_rng(34)
+    for _ in range(15):
+        lam, beta, N, t = _random_instance(rng, sizes=(16, 32, 64))
+        _assert_matches_dense(lam, beta, N, int(rng.integers(1, N)), t)
+
+
+@pytest.mark.parametrize("lam, beta, N, n, t", [
+    (LAM15, TrigPolynomial([1.0, 0.1]), 64, 1, 2.0),
+    (LAM15, TrigPolynomial([1.0, 0.1]), 64, 63, 2.0),
+    (gap_family(1.0), FLAT, 64, 32, 5.0),
+    (gap_family(1.0), TrigPolynomial([1.0, 0.2]), 32, 16, 50.0),
+    (LAM15, TrigPolynomial([1.0, 0.2]), 64, 32, 1000.0),
+    (LAM15, TrigPolynomial([1.5, -1.0]), 32, 16, 4.0),
+    # t = 0 with a non-flat width: a real state, where the det bound is tight
+    (TrigPolynomial([2.25]), TrigPolynomial([1.0, 0.2]), 16, 8, 0.0),
+])
+def test_symbol_record_matches_dense_edges(lam, beta, N, n, t):
+    _assert_matches_dense(lam, beta, N, n, t)
+
+
+@pytest.mark.parametrize("lam", [TrigPolynomial([2.25]), TrigPolynomial([1.0])])
+def test_symbol_record_uncoupled_exactly_zero(lam):
+    for t in (0.0, 1.3, 6.0):
+        rec = _assert_matches_dense(lam, FLAT, 16, 8, t)
+        assert (rec.exact_entropy, rec.neg_log_purity, rec.det_bound) == (0.0, 0.0, 0.0)
+        assert math.copysign(1.0, rec.neg_log_purity) == 1.0
+        assert rec.identity_residual == 0.0
+
+
+def test_symbol_record_error_types_match_dense():
+    good = evolve(EvolutionSetup(LAM15, FLAT, 16), 1.0)
+    for n in (0, 16, -1):
+        with pytest.raises(ValueError):
+            symbol_record(good, n)
+    theta = 2.0 * np.pi * np.arange(16) / 16
+    ill = GaussianPureState(
+        mode_symbols=np.where(theta == np.pi, 1e-14, 1.0 + 0.5 * np.cos(theta)),
+        size=16, time=0.0)
+    negative = GaussianPureState(mode_symbols=-1.0 + 0.3 * np.cos(theta) + 0.2j,
+                                 size=16, time=0.0)
+    for state, exc in ((ill, IllConditionedError), (negative, ConsistencyError)):
+        with pytest.raises(exc):
+            _dense_record(state, 8)
+        with pytest.raises(exc):
+            symbol_record(state, 8)
+
+
+@st.composite
+def _gapped_symbol(draw, lo, hi):
+    """Degree <= 3 cosine polynomial with a0 in [lo, hi] and min >= a0 / 10."""
+    a0 = draw(st.floats(lo, hi))
+    deg = draw(st.integers(0, 3))
+    rest = [0.9 * a0 * draw(st.floats(-1.0, 1.0)) / max(deg, 1) for _ in range(deg)]
+    return TrigPolynomial([a0, *rest])
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(lam=_gapped_symbol(0.5, 3.0), beta=_gapped_symbol(0.5, 2.0),
+       N=st.sampled_from((16, 32, 64)), cut=st.floats(0.0, 1.0),
+       t=st.floats(0.0, 20.0))
+def test_symbol_record_bound_chain_property(lam, beta, N, cut, t):
+    n = min(N - 1, 1 + int(cut * (N - 1)))
+    rec = symbol_record(evolve(EvolutionSetup(lam, beta, N), t), n)
+    assert rec.identity_residual <= 1e-9
+    assert rec.exact_entropy >= rec.neg_log_purity - 1e-8
+    assert rec.neg_log_purity >= rec.det_bound - 1e-8
+    assert rec.det_bound >= -1e-12

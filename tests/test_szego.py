@@ -220,6 +220,9 @@ def test_fit_quadratic_exponent_against_t0_sample():
     # q4 t_max^2 / q2 = 0.07: the quadratic term dominates the window
     mixed = fit_quadratic_short_time(t, 0.7 + 0.258 * t ** 2 + 1.8 * t ** 4, 0.1)
     assert abs(mixed.exponent - 2.0) < 0.05
+    # an onset that dips (q2 < 0) is measured on |growth| like one that rises
+    dip = fit_quadratic_short_time(t, 0.7 - 0.258 * t ** 2 - 1.8 * t ** 4, 0.1)
+    assert abs(dip.exponent - 2.0) < 0.05
     no_origin = fit_quadratic_short_time(t[1:], 1.0 + 2.0 * t[1:] ** 2, 0.1)
     assert np.isnan(no_origin.exponent)
     assert abs(no_origin.kappa2 - 2.0) < 1e-9
@@ -231,4 +234,7 @@ def test_fit_quadratic_degenerate_cases():
         fit_quadratic_short_time(t, t * t, 0.001)  # one point survives the cut
     flat = fit_quadratic_short_time(t, np.full(11, 2.0), 0.1)
     assert np.isnan(flat.exponent)
+    # growth that changes sign inside the window has no single onset law
+    crossing = fit_quadratic_short_time(t, 0.7 + 0.258 * t ** 2 - 40.0 * t ** 4, 0.1)
+    assert np.isnan(crossing.exponent)
     assert abs(flat.kappa1 - 2.0) < 1e-12
