@@ -92,7 +92,7 @@ def _scenario_from_args(args) -> pipeline.ScenarioConfig:
 def _cmd_evolve(args) -> int:
     config = _scenario_from_args(args)
     series = pipeline.run_series(config)
-    pipeline.write_csv(series, args.out)
+    pipeline.write_text(pipeline.format_csv(series), args.out)
     if args.dump_state:
         pipeline.dump_state_json(config, args.dump_state)
     return EXIT_OK
@@ -110,12 +110,7 @@ def _cmd_figure1(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = run_verification(args.level)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    pipeline.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     if not report["all_passed"]:
         for fname, fam in report["families"].items():
             for check in fam["checks"]:
@@ -138,11 +133,7 @@ def _cmd_sweep(args) -> int:
         args.lambda_spec = "gap:c=1.5"  # placeholder; every row replaces it
     config = _scenario_from_args(args)
     text, _ = pipeline.run_sweep(config, args.param, values)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    pipeline.write_text(text, args.out)
     return EXIT_OK
 
 

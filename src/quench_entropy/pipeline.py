@@ -190,20 +190,20 @@ def compute_row(lam: TrigPolynomial, beta: TrigPolynomial, N: int, n: int,
                     det_bound=det, szego_sum=szego_val, bk_bound=bk_val)
 
 
-def _row_worker(args):
-    return compute_row(*args)
-
-
-def _map_rows(arglist, jobs: int):
+def _map_rows(fn, arglist: list, jobs: int) -> list:
+    """fn(*args) for each args tuple, in order; in a process pool when jobs > 1."""
     if jobs > 1 and len(arglist) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_row_worker, arglist))
-    return [_row_worker(a) for a in arglist]
+            return list(pool.map(fn, *zip(*arglist)))
+    return [fn(*args) for args in arglist]
 
 
-def run_series(config: ScenarioConfig) -> BoundSeries:
+def _row_args(config: ScenarioConfig) -> list:
+    """compute_row arguments for each time point of one scenario.
+
+    Warns on stderr about every column the scenario leaves nan.
+    """
     lam, beta = config.symbols()
-    n = config.cut()
     with_dense = config.N <= DENSE_SIZE_LIMIT
     gapped = not is_critical(lam)
     if not with_dense:
@@ -214,9 +214,12 @@ def run_series(config: ScenarioConfig) -> BoundSeries:
         print("warning: critical coupling (min lambda = 0); the bk_bound column is "
               "nan because the momentum-coefficient bound requires a gap",
               file=sys.stderr)
-    arglist = [(lam, beta, config.N, n, float(t), config.k_max, with_dense, gapped)
-               for t in config.time_grid()]
-    rows = _map_rows(arglist, config.jobs)
+    return [(lam, beta, config.N, config.cut(), float(t), config.k_max, with_dense, gapped)
+            for t in config.time_grid()]
+
+
+def run_series(config: ScenarioConfig) -> BoundSeries:
+    rows = _map_rows(compute_row, _row_args(config), config.jobs)
     return BoundSeries(rows=tuple(rows), metadata={"config": config.to_json_dict()})
 
 
@@ -231,8 +234,8 @@ def format_csv(series: BoundSeries) -> str:
     return "\n".join([CSV_HEADER, *map(_csv_line, series.rows)]) + "\n"
 
 
-def write_csv(series: BoundSeries, out: str | None) -> None:
-    text = format_csv(series)
+def write_text(text: str, out: str | None) -> None:
+    """Write text to the file `out`, or to stdout when out is None."""
     if out is None:
         sys.stdout.write(text)
     else:
@@ -252,11 +255,6 @@ def dump_state_json(config: ScenarioConfig, path: str) -> None:
 # ---------------------------------------------------------------------------
 # shape-reproduction preset: three coupling gaps, one initial state
 # ---------------------------------------------------------------------------
-
-def _szego_worker(args):
-    lam, beta, t = args
-    return szego.szego_sum_for(lam, beta, t)
-
 
 def run_figure1(out_dir: str, jobs: int = 1) -> dict:
     """Szego-bound growth curves for gap parameters 0.5, 1.0, 1.5.
@@ -278,11 +276,7 @@ def run_figure1(out_dir: str, jobs: int = 1) -> dict:
         lam = parse_spectral_spec(f"gap:c={c}")
         units.extend((lam, beta, float(t)) for t in t_grid)
         units.extend((lam, beta, float(t)) for t in t_short)
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            flat = list(pool.map(_szego_worker, units))
-    else:
-        flat = [_szego_worker(u) for u in units]
+    flat = _map_rows(szego.szego_sum_for, units, jobs)
 
     os.makedirs(out_dir, exist_ok=True)
     per_curve = len(t_grid) + len(t_short)
@@ -352,15 +346,10 @@ def run_sweep(base: ScenarioConfig, param: str, values) -> tuple[str, list]:
     arglist = []
     spans = []
     for cfg in configs:
-        lam, beta = cfg.symbols()
-        gapped = not is_critical(lam)
-        with_dense = cfg.N <= DENSE_SIZE_LIMIT
         start = len(arglist)
-        arglist.extend(
-            (lam, beta, cfg.N, cfg.cut(), float(t), cfg.k_max, with_dense, gapped)
-            for t in cfg.time_grid())
+        arglist.extend(_row_args(cfg))
         spans.append((start, len(arglist)))
-    rows = _map_rows(arglist, base.jobs)
+    rows = _map_rows(compute_row, arglist, base.jobs)
 
     lines = ["param_value," + CSV_HEADER]
     out_series = []

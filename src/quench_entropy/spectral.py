@@ -13,6 +13,7 @@ Gaussian state live in this class.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 from scipy.linalg import circulant as _circulant_from_row
@@ -49,6 +50,25 @@ class TrigPolynomial:
 
     def __call__(self, theta):
         return evaluate(self, theta)
+
+    @functools.cached_property
+    def _extrema(self) -> SpectralExtrema:
+        # one scan per instance, carried along when the symbol is pickled
+        grid_size = max(4096, 4 * self.degree)
+        th = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
+        vals = evaluate(self, th)
+        h = 2.0 * np.pi / grid_size
+
+        def refine(idx, sign):
+            lo, hi = th[idx] - h, th[idx] + h
+            res = minimize_scalar(lambda x: sign * evaluate(self, x), bounds=(lo, hi),
+                                  method="bounded", options={"xatol": 1e-12})
+            return float(res.x), float(sign * res.fun)
+
+        amin, vmin = refine(int(np.argmin(vals)), +1.0)
+        amax, vmax = refine(int(np.argmax(vals)), -1.0)
+        return SpectralExtrema(minimum=vmin, maximum=vmax,
+                               argmin=amin % (2.0 * np.pi), argmax=amax % (2.0 * np.pi))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -137,28 +157,14 @@ def build_circulant(f: TrigPolynomial, N: int) -> CirculantMatrix:
     return CirculantMatrix(first_row=row, size=N)
 
 
-def extrema(f: TrigPolynomial, grid_size: int = 4096) -> SpectralExtrema:
+def extrema(f: TrigPolynomial) -> SpectralExtrema:
     """Global extrema over one period: dense grid scan plus local refinement.
 
+    The scan covers max(4096, 4 * degree) points, once per symbol instance.
     Refinement runs bounded scalar minimization on the neighbouring grid cell,
     which converges far below the requested 1e-10 for these smooth symbols.
     """
-    if grid_size < max(4 * f.degree, 16):
-        grid_size = max(4 * f.degree, 16)
-    th = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
-    vals = evaluate(f, th)
-    h = 2.0 * np.pi / grid_size
-
-    def refine(idx, sign):
-        lo, hi = th[idx] - h, th[idx] + h
-        res = minimize_scalar(lambda x: sign * evaluate(f, x), bounds=(lo, hi),
-                              method="bounded", options={"xatol": 1e-12})
-        return float(res.x), float(sign * res.fun)
-
-    amin, vmin = refine(int(np.argmin(vals)), +1.0)
-    amax, vmax = refine(int(np.argmax(vals)), -1.0)
-    return SpectralExtrema(minimum=vmin, maximum=vmax,
-                           argmin=amin % (2.0 * np.pi), argmax=amax % (2.0 * np.pi))
+    return f._extrema
 
 
 def is_critical(f: TrigPolynomial) -> bool:

@@ -29,6 +29,7 @@ _COEFF_STABLE_TOL = 1e-9
 _TAIL_REL = 1e-12
 _TAIL_ABS = 1e-24
 _CONE_THRESHOLD = 1e-6
+_MAXIMUM_GRID = 16384
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,14 +91,11 @@ def _cosine_coeffs_once(sample_fn, k_max: int, grid: int) -> np.ndarray:
     return (np.fft.rfft(vals)[: k_max + 1] / grid).real
 
 
-def _stabilized_cosine_coeffs(sample_fn, k_max: int, quad_points: int | None = None) -> np.ndarray:
+def _stabilized_cosine_coeffs(sample_fn, k_max: int) -> np.ndarray:
     """Fourier coefficients with automatic grid doubling until they stabilize."""
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
-    if quad_points is not None and quad_points < 8 * k_max:
-        raise ValueError(f"quad_points={quad_points} below the minimum 8*k_max={8 * k_max}")
-    start = quad_points if quad_points is not None else max(_QUAD_START, 8 * (k_max + 1))
-    grid = _pow2_at_least(max(start, 2 * (k_max + 1)))
+    grid = _pow2_at_least(max(_QUAD_START, 8 * (k_max + 1)))
     prev = _cosine_coeffs_once(sample_fn, k_max, grid)
     while grid <= _QUAD_CAP:
         grid *= 2
@@ -116,10 +114,10 @@ def default_k_max(lam: TrigPolynomial, t: float) -> int:
 
 
 def log_symbol_coeffs(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
-                      k_max: int, quad_points: int | None = None) -> np.ndarray:
+                      k_max: int) -> np.ndarray:
     """Coefficients c_k of ln Lambda^{-1}(theta, t), k = 0..k_max."""
     return _stabilized_cosine_coeffs(
-        lambda th: -np.log(lambda_of_t(lam, beta, th, t)), k_max, quad_points)
+        lambda th: -np.log(lambda_of_t(lam, beta, th, t)), k_max)
 
 
 def szego_sum(c: np.ndarray, enforce_tail: bool = True) -> float:
@@ -137,6 +135,30 @@ def szego_sum(c: np.ndarray, enforce_tail: bool = True) -> float:
     return total
 
 
+def _resolved_sum(coeffs_at, lam: TrigPolynomial, t: float,
+                  k_max: int | None) -> tuple[np.ndarray, float]:
+    """Coefficients `coeffs_at(k)` and their tail-checked `szego_sum` at the
+    resolved truncation k.
+
+    k is k_max when given; otherwise the cone-covering default for a gapped
+    coupling; otherwise (critical) doubled from 256 while the tail criterion
+    fails, up to _QUAD_CAP // 8.
+    """
+    if k_max is not None or not is_critical(lam):
+        coeffs = coeffs_at(default_k_max(lam, t) if k_max is None else k_max)
+        return coeffs, szego_sum(coeffs)
+    k = 256
+    while True:
+        coeffs = coeffs_at(k)
+        try:
+            return coeffs, szego_sum(coeffs)
+        except TailCriterionError as exc:
+            if 2 * k > _QUAD_CAP // 8:
+                raise QuadratureError(
+                    f"tail criterion still unmet at k_max={k}") from exc
+            k *= 2
+
+
 def szego_sum_for(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
                   k_max: int | None = None) -> float:
     """Szego-bound value with truncation resolved automatically.
@@ -144,19 +166,7 @@ def szego_sum_for(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
     Gapped couplings take the cone-covering default; critical ones grow k_max
     until the tail criterion is satisfied.
     """
-    if k_max is not None:
-        return szego_sum(log_symbol_coeffs(lam, beta, t, k_max))
-    if not is_critical(lam):
-        return szego_sum(log_symbol_coeffs(lam, beta, t, default_k_max(lam, t)))
-    k = 256
-    while True:
-        try:
-            return szego_sum(log_symbol_coeffs(lam, beta, t, k))
-        except TailCriterionError as exc:
-            if 2 * k > _QUAD_CAP // 8:
-                raise QuadratureError(
-                    f"tail criterion still unmet at k_max={k}") from exc
-            k *= 2
+    return _resolved_sum(lambda k: log_symbol_coeffs(lam, beta, t, k), lam, t, k_max)[1]
 
 
 def parseval_check(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
@@ -188,10 +198,10 @@ def parseval_check(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
 
 
 def bk_coeffs(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
-              k_max: int, quad_points: int | None = None) -> np.ndarray:
+              k_max: int) -> np.ndarray:
     """Coefficients b_k of the inverse evolved spectrum Lambda^{-1}(theta, t)."""
     return _stabilized_cosine_coeffs(
-        lambda th: 1.0 / lambda_of_t(lam, beta, th, t), k_max, quad_points)
+        lambda th: 1.0 / lambda_of_t(lam, beta, th, t), k_max)
 
 
 def _require_gapped(lam: TrigPolynomial, what: str) -> None:
@@ -200,8 +210,7 @@ def _require_gapped(lam: TrigPolynomial, what: str) -> None:
             f"{what} requires a gapped coupling; this spectral function touches zero")
 
 
-def mu_sigma(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
-             k_max: int, quad_points: int | None = None):
+def mu_sigma(lam: TrigPolynomial, beta: TrigPolynomial, t: float, k_max: int):
     """Static/traveling split of the inverse-spectrum coefficients.
 
     sigma_k = (1/4pi) int (lam + beta^2) / (beta lam) cos(k theta) d theta
@@ -222,18 +231,17 @@ def mu_sigma(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
         bv = np.asarray(evaluate(beta, th), dtype=float)
         return (lv - bv * bv) * np.cos(2.0 * t * np.sqrt(lv)) / (bv * lv)
 
-    sigma = 0.5 * _stabilized_cosine_coeffs(sample_sigma, k_max, quad_points)
-    mu = 0.5 * _stabilized_cosine_coeffs(sample_mu, k_max, quad_points)
+    sigma = 0.5 * _stabilized_cosine_coeffs(sample_sigma, k_max)
+    mu = 0.5 * _stabilized_cosine_coeffs(sample_mu, k_max)
     return sigma, mu
 
 
-def spectrum_maximum(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
-                     grid: int = 16384) -> float:
+def spectrum_maximum(lam: TrigPolynomial, beta: TrigPolynomial, t: float) -> float:
     """max_theta Lambda(theta, t): dense scan plus bounded local refinement."""
-    theta = 2.0 * np.pi * np.arange(grid) / grid
+    theta = 2.0 * np.pi * np.arange(_MAXIMUM_GRID) / _MAXIMUM_GRID
     vals = lambda_of_t(lam, beta, theta, t)
     i = int(np.argmax(vals))
-    h = 2.0 * np.pi / grid
+    h = 2.0 * np.pi / _MAXIMUM_GRID
     res = minimize_scalar(lambda x: -lambda_of_t(lam, beta, float(x), t),
                           bounds=(theta[i] - h, theta[i] + h),
                           method="bounded", options={"xatol": 1e-12})
@@ -248,38 +256,23 @@ def bk_bound(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
     couplings; the chain check therefore lives with the callers that know the
     coupling is gapped.
     """
-    if k_max is None:
-        if is_critical(lam):
-            k = 256
-            while True:
-                try:
-                    b = bk_coeffs(lam, beta, t, k)
-                    partial = szego_sum(b)
-                    break
-                except TailCriterionError:
-                    if 2 * k > _QUAD_CAP // 8:
-                        raise QuadratureError(f"b_k tail still unmet at k_max={k}")
-                    k *= 2
-        else:
-            b = bk_coeffs(lam, beta, t, default_k_max(lam, t))
-            partial = szego_sum(b)
-    else:
-        b = bk_coeffs(lam, beta, t, k_max)
-        partial = szego_sum(b)
+    _, partial = _resolved_sum(lambda k: bk_coeffs(lam, beta, t, k), lam, t, k_max)
     M = spectrum_maximum(lam, beta, t)
     return partial / (M * M)
 
 
 def compute_fourier_series(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
                            k_max: int | None = None) -> FourierSeries:
-    """Assemble the full coefficient bundle at one time point."""
-    gapped = not is_critical(lam)
-    if k_max is None:
-        k_max = default_k_max(lam, t) if gapped else 256
-    c = log_symbol_coeffs(lam, beta, t, k_max)
+    """Assemble the full coefficient bundle at one time point.
+
+    The truncation is resolved and tail-checked on c_k as in `szego_sum_for`;
+    b_k and the split use the same k_max.
+    """
+    c, _ = _resolved_sum(lambda k: log_symbol_coeffs(lam, beta, t, k), lam, t, k_max)
+    k_max = c.size - 1
     b = bk_coeffs(lam, beta, t, k_max)
     sigma = mu = None
-    if gapped:
+    if not is_critical(lam):
         sigma, mu = mu_sigma(lam, beta, t, k_max)
     return FourierSeries(c=c, b=b, sigma=sigma, mu=mu,
                          M=spectrum_maximum(lam, beta, t), t=float(t), k_max=int(k_max))
@@ -295,7 +288,7 @@ def _cone_edge(profile: np.ndarray) -> int:
 
 
 def light_cone_profile(lam: TrigPolynomial, beta: TrigPolynomial,
-                       t_list, k_max: int | None = None) -> LightConeProfile:
+                       t_list) -> LightConeProfile:
     """|mu_k(t)| table plus the measured cone edge for each time.
 
     The traveling coefficients live inside |k| <~ (cone speed) t; the edge is
@@ -305,8 +298,7 @@ def light_cone_profile(lam: TrigPolynomial, beta: TrigPolynomial,
     _require_gapped(lam, "the light-cone profile")
     v_g = group_velocity_bound(lam)
     t_arr = np.asarray(list(t_list), dtype=float)
-    if k_max is None:
-        k_max = int(np.ceil(2.0 * v_g * np.abs(t_arr).max())) + 64
+    k_max = int(np.ceil(2.0 * v_g * np.abs(t_arr).max())) + 64
     rows = []
     edges = []
     for t in t_arr:

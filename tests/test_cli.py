@@ -191,6 +191,21 @@ def test_critical_coupling_warns_and_emits_nan():
     assert not math.isnan(rows[1][4])   # log-spectrum bound still fine
 
 
+def test_sweep_warns_like_evolve():
+    res = run_cli("sweep", "--param", "c", "--values", "0.5,1.5",
+                  "--steps", "2", "--t1", "1.0", "-N", "16")
+    assert res.returncode == 0
+    assert "critical" in res.stderr
+    _, rows = parse_csv(res.stdout)
+    assert math.isnan(rows[1][6]) and not math.isnan(rows[3][6])
+    res = run_cli("sweep", "--param", "N", "--values", "16,2048", "--lambda", LAM15,
+                  "--steps", "2", "--t1", "1.0")
+    assert res.returncode == 0
+    assert "exceeds the dense cutoff" in res.stderr
+    _, rows = parse_csv(res.stdout)
+    assert not math.isnan(rows[1][2]) and math.isnan(rows[3][2])
+
+
 def test_verify_quick_subprocess():
     res = run_cli("verify", "--level", "quick")
     assert res.returncode == 0, res.stderr

@@ -1,14 +1,18 @@
 """Spectral-function algebra: parsing, circulant construction, extrema, velocity bound."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from quench_entropy import spectral
 from quench_entropy import (CriticalSymbolError, SpectralSpecError,
                             TrigPolynomial, build_circulant, evaluate, extrema,
                             gap_family, group_velocity_bound, is_critical,
                             parse_spectral_spec)
 from quench_entropy.spectral import (format_spectral_spec, require_nonnegative,
                                      require_positive)
+from quench_entropy.szego import default_k_max
 
 
 def test_parse_poly_and_gap_formats():
@@ -136,6 +140,37 @@ def test_is_critical_classification():
     assert is_critical(gap_family(0.5))  # zero sits at an interior angle
     assert not is_critical(gap_family(1.5))
     assert not is_critical(TrigPolynomial([2.0, -1.0]))
+
+
+def test_extrema_scanned_once_per_instance(monkeypatch):
+    calls = []
+    real = spectral.minimize_scalar
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "minimize_scalar", counting)
+    lam = gap_family(1.5)
+    for _ in range(3):
+        assert not is_critical(lam)
+        require_positive(lam)
+        assert abs(group_velocity_bound(lam) - 25.0) < 1e-9
+        default_k_max(lam, 1.0)
+    assert len(calls) == 2  # one refinement for the minimum, one for the maximum
+    is_critical(gap_family(1.5))  # a new instance scans again
+    assert len(calls) == 4
+
+
+def test_pickled_symbol_keeps_classification():
+    for c, critical in ((0.5, True), (1.0, True), (1.5, False)):
+        scanned = gap_family(c)
+        ext = extrema(scanned)
+        for f in (scanned, gap_family(c)):  # with and without a cached scan
+            copy = pickle.loads(pickle.dumps(f))
+            assert np.array_equal(copy.coeffs, f.coeffs)
+            assert is_critical(copy) is critical
+            assert extrema(copy) == ext
 
 
 def test_require_positive_and_nonnegative():

@@ -9,7 +9,8 @@ The quadrature has no business missing those by more than rounding.
 import numpy as np
 import pytest
 
-from quench_entropy import (CriticalSymbolError, TailCriterionError,
+from quench_entropy import szego
+from quench_entropy import (CriticalSymbolError, QuadratureError, TailCriterionError,
                             TrigPolynomial, bk_bound, bk_coeffs,
                             compute_fourier_series, fit_linear,
                             fit_quadratic_short_time, gap_family,
@@ -179,6 +180,31 @@ def test_fourier_series_critical_skips_split():
     fs = compute_fourier_series(gap_family(1.0), FLAT, 0.5)
     assert fs.sigma is None and fs.mu is None
     assert fs.k_max == 256
+
+
+def test_fourier_series_critical_truncation_is_tail_checked():
+    # 256 leaves a non-negligible tail here; the bundle grows k_max like
+    # szego_sum_for does
+    lam = gap_family(0.5)
+    fs = compute_fourier_series(lam, FLAT, 20.0)
+    assert fs.k_max == 2048
+    assert fs.c.size == fs.b.size == 2049
+    assert szego_sum(fs.c) == szego_sum_for(lam, FLAT, 20.0)
+
+
+def test_critical_retry_frozen_values():
+    lam = gap_family(0.5)
+    for fn, ref in ((szego_sum_for, 9.336997995572034),
+                    (bk_bound, 5333.699643653452)):
+        assert abs(fn(lam, FLAT, 20.0) - ref) <= 1e-12 * ref, fn.__name__
+
+
+def test_bk_bound_critical_retry_cap(monkeypatch):
+    # coefficients whose tail never becomes negligible exhaust the doubling
+    monkeypatch.setattr(szego, "bk_coeffs", lambda lam, beta, t, k: np.ones(k + 1))
+    with pytest.raises(QuadratureError, match="still unmet at k_max=1048576") as exc_info:
+        bk_bound(gap_family(0.5), FLAT, 1.0)
+    assert isinstance(exc_info.value.__cause__, TailCriterionError)
 
 
 def test_fit_linear_exact_line():
