@@ -65,28 +65,23 @@ class GaussianPureState:
 def mode_symbol(lam_val, beta_val, t):
     """Closed-form mode amplitude at time t; vectorized over the inputs.
 
-    a(t) = sqrt(lam) (beta cos(t sqrt(lam)) + i sqrt(lam) sin(t sqrt(lam)))
-           / (sqrt(lam) cos(t sqrt(lam)) + i beta sin(t sqrt(lam)))
+    a(t) = (beta c + i lam tS) / (c + i beta tS),  c = cos(t sqrt(lam)),
+    tS = sin(t sqrt(lam)) / sqrt(lam) = t sinc(t sqrt(lam) / pi),
 
-    with the lam -> 0 limit a = beta / (1 + i t beta) substituted where the
-    coupling vanishes, removing the 0/0 without any tolerance branching.
+    which is a = beta / (1 + i t beta) at lam = 0 and exactly beta at t = 0,
+    with no branch on either.
     """
     lam = np.asarray(lam_val, dtype=float)
     beta = np.asarray(beta_val, dtype=float)
-    lam, beta = np.broadcast_arrays(lam, beta)
-    zero = lam == 0.0
-    safe = np.where(zero, 1.0, lam)
-    root = np.sqrt(safe)
+    root = np.sqrt(lam)
     c = np.cos(t * root)
-    s = np.sin(t * root)
-    generic = root * (beta * c + 1j * root * s) / (root * c + 1j * beta * s)
-    limit = beta / (1.0 + 1j * t * beta)
-    out = np.where(zero, limit, generic)
+    ts = t * np.sinc(t * root / np.pi)
+    out = (beta * c + 1j * lam * ts) / (c + 1j * beta * ts)
     return complex(out) if out.ndim == 0 else out
 
 
 def lambda_of_t(lam: TrigPolynomial, beta: TrigPolynomial, theta, t):
-    """Evolved width spectrum beta lam / (lam cos^2(t sqrt(lam)) + beta^2 sin^2(t sqrt(lam))).
+    """Evolved width spectrum beta / (c^2 + (beta tS)^2), c and tS as in `mode_symbol`.
 
     Strictly positive whenever beta > 0, including at critical points of the
     coupling, where it degrades to beta / (1 + (t beta)^2).
@@ -96,14 +91,10 @@ def lambda_of_t(lam: TrigPolynomial, beta: TrigPolynomial, theta, t):
     bv = np.asarray(evaluate(beta, th), dtype=float)
     # symbols certified non-negative upstream; clamp rounding dust at a touch point
     lv = np.maximum(lv, 0.0)
-    zero = lv == 0.0
-    safe = np.where(zero, 1.0, lv)
-    root = np.sqrt(safe)
+    root = np.sqrt(lv)
     c = np.cos(t * root)
-    s = np.sin(t * root)
-    generic = bv * safe / (safe * c * c + bv * bv * s * s)
-    limit = bv / (1.0 + (t * bv) ** 2)
-    out = np.where(zero, limit, generic)
+    ts = t * np.sinc(t * root / np.pi)
+    out = bv / (c * c + (bv * ts) ** 2)
     return float(out) if out.ndim == 0 else out
 
 

@@ -58,6 +58,16 @@ def test_evolve_header_and_initial_row():
     assert "-0," not in res.stdout and not res.stdout.endswith("-0\n")
 
 
+@pytest.mark.parametrize("coupling", [LAM15, "gap:c=1.0"])
+def test_flat_width_initial_row_exactly_zero(coupling):
+    # the product state at t = 0 carries no entanglement, with no rounding dust
+    res = run_cli("evolve", "--lambda", coupling, "--beta", "poly:1", "-N", "64",
+                  "--steps", "2", "--t1", "1.0")
+    assert res.returncode == 0
+    _, rows = parse_csv(res.stdout)
+    assert rows[0][:5] == [0.0, 0.0, 0.0, 0.0, 0.0]
+
+
 def test_csv_roundtrips_full_precision():
     res = run_cli("evolve", "--lambda", LAM15, "-N", "16", "--steps", "3", "--t1", "1.0")
     _, rows = parse_csv(res.stdout)
