@@ -51,6 +51,8 @@ class ScenarioConfig:
     steps: int = 21
     k_max: int | None = None
     jobs: int = 1
+    # the validated (lambda, beta) instances, so their extrema are scanned once
+    _symbols: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 2:
@@ -75,12 +77,13 @@ class ScenarioConfig:
             raise ValueError(
                 f"N={self.N} must exceed twice the symbol degree "
                 f"{max(lam.degree, beta.degree)}")
+        object.__setattr__(self, "_symbols", (lam, beta))
 
     def cut(self) -> int:
         return self.N // 2 if self.n is None else self.n
 
     def symbols(self) -> tuple[TrigPolynomial, TrigPolynomial]:
-        return parse_spectral_spec(self.lambda_spec), parse_spectral_spec(self.beta_spec)
+        return self._symbols
 
     def time_grid(self) -> np.ndarray:
         return np.linspace(self.t0, self.t1, self.steps)

@@ -26,12 +26,10 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.linalg import circulant as _circulant_from_row
-from scipy.linalg import solve_triangular, toeplitz
-from scipy.special import xlogy
 
 from .errors import ConsistencyError, IllConditionedError
 from .evolution import GaussianPureState
+from .spectral import CirculantMatrix
 
 _COND_LIMIT = 1e12
 _PURITY_AGREE_TOL = 1e-9
@@ -99,7 +97,7 @@ def densify(state: GaussianPureState) -> np.ndarray:
     """
     syms = np.asarray(state.mode_symbols, dtype=complex)
     row = np.fft.ifft(syms)
-    dense = _circulant_from_row(row).T
+    dense = CirculantMatrix(row, row.size).to_dense()
     return 0.5 * (dense + dense.T)
 
 
@@ -262,7 +260,11 @@ def exact_entropy(A: np.ndarray, n: int) -> float:
     nu = _symplectic_eigenvalues(sub)
     if nu.min() < 0.5 - 1e-8:
         raise ConsistencyError(f"unphysical covariance: nu_min = {nu.min():.12g} < 1/2")
-    nu = np.maximum(nu, 0.5)
+    return _entropy_sum(np.maximum(nu, 0.5))
+
+
+def _entropy_sum(nu: np.ndarray) -> float:
+    """sum (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2), with 0 ln 0 = 0."""
     plus = nu + 0.5
     minus = nu - 0.5
     ent = plus * np.log(plus) - np.where(minus > 0.0, minus * np.log(np.where(minus > 0.0, minus, 1.0)), 0.0)
@@ -306,6 +308,18 @@ def _circulant_rows(a: np.ndarray) -> dict:
         }
 
 
+def _toeplitz(col: np.ndarray, row: np.ndarray | None = None) -> np.ndarray:
+    """Toeplitz matrix with first column col and first row row (row[0] unused).
+
+    Symmetric, with row = col, when row is omitted. Entries are copied, never
+    computed, so each block equals the matching block of the dense matrix.
+    """
+    row = col if row is None else row
+    vals = np.concatenate((col[::-1], row[1:]))
+    i = np.arange(col.size)
+    return vals[col.size - 1 - i[:, None] + np.arange(row.size)[None, :]]
+
+
 def _cholesky(M: np.ndarray, what: str) -> np.ndarray:
     try:
         return np.linalg.cholesky(M)
@@ -345,8 +359,8 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
         raise IllConditionedError(
             f"matrix too ill-conditioned to partition (estimate {cond:.3g})",
             condition_estimate=cond)
-    T_t = toeplitz(s.real[:n])
-    R_t = toeplitz(s.real[:m])
+    T_t = _toeplitz(s.real[:n])
+    R_t = _toeplitz(s.real[:m])
     chol_t = _cholesky(T_t, "real part of the traced block")
     _cholesky(R_t, "real part of the kept block")
 
@@ -367,10 +381,11 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
                             identity_residual=0.0, condition_estimate=cond, n=n, N=N)
 
     # C = X + iZ; with Y = L_T^{-1} C, X^T T~^{-1} X = Yx^T Yx, likewise for Z
-    Yx = solve_triangular(chol_t, toeplitz(s.real[n:0:-1], s.real[n:]), lower=True)
-    Yz = solve_triangular(chol_t, toeplitz(s.imag[n:0:-1], s.imag[n:]), lower=True)
+    Y = np.linalg.solve(chol_t, np.hstack([_toeplitz(s.real[n:0:-1], s.real[n:]),
+                                           _toeplitz(s.imag[n:0:-1], s.imag[n:])]))
+    Yx, Yz = Y[:, :m], Y[:, m:]
     schur = R_t - Yx.T @ Yx
-    P_t = toeplitz(rows["inv_real"][:m])
+    P_t = _toeplitz(rows["inv_real"][:m])
     residual = float(np.linalg.norm(np.linalg.inv(P_t) - schur))
 
     # moment form: 2 Re(Gamma - Delta) = R~ - X^T T~^{-1} X and
@@ -389,16 +404,15 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
     # a pure global state gives both sides of the cut the same nu != 1/2, so
     # the spectrum is read from the covariance of the smaller side
     k = min(n, m)
-    xp = toeplitz(rows["xp"][:k])
-    cov = np.block([[toeplitz(0.5 * rows["inv_real"][:k]), xp],
-                    [xp, toeplitz(rows["pp"][:k])]])
+    xp = _toeplitz(rows["xp"][:k])
+    cov = np.block([[_toeplitz(0.5 * rows["inv_real"][:k]), xp],
+                    [xp, _toeplitz(rows["pp"][:k])]])
     L = _cholesky(cov, "reduced covariance")
     nu = np.linalg.eigvalsh(1j * (L.T @ np.vstack([L[k:], -L[:k]])))[k:]
     if nu.min() < 0.5 - 1e-8:
         raise ConsistencyError(f"unphysical covariance: nu_min = {nu.min():.12g} < 1/2")
-    nu = np.maximum(nu, 0.5)
     return SymbolRecord(
-        t=t, exact_entropy=float(np.sum(xlogy(nu + 0.5, nu + 0.5) - xlogy(nu - 0.5, nu - 0.5))),
+        t=t, exact_entropy=_entropy_sum(np.maximum(nu, 0.5)),
         neg_log_purity=-float(np.log(min(p, 1.0))) + 0.0,
         det_bound=0.5 * (ld_p + logdet_pd(R_t)),
         identity_residual=residual, condition_estimate=cond, n=n, N=N)

@@ -17,11 +17,11 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import CriticalSymbolError, QuadratureError, TailCriterionError
 from .evolution import lambda_of_t
-from .spectral import TrigPolynomial, evaluate, group_velocity_bound, is_critical
+from .spectral import (TrigPolynomial, _refine_minimum, evaluate, group_velocity_bound,
+                       is_critical)
 
 _QUAD_START = 8192
 _QUAD_CAP = 2 ** 23
@@ -186,13 +186,12 @@ def parseval_check(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
     log_spec = np.log(lambda_of_t(lam, beta, theta, t))
     if np.ptp(log_spec) == 0.0:
         return 0.0
-    idx = np.arange(grid)
+    # three periods, so every wrapped sample run is one contiguous slice
+    ext = np.tile(log_spec, 3)
     total = 0.0
     for j in range(grid // 2):
         eta2 = (j + 0.5) * h
-        m1 = (idx - j - 1) % grid
-        m2 = (idx + j) % grid
-        diff = log_spec[m1] - log_spec[m2]
+        diff = ext[grid - j - 1: 2 * grid - j - 1] - ext[grid + j: 2 * grid + j]
         total += float(np.sum(diff * diff)) / np.sin(eta2) ** 2
     return total * h * h / (16.0 * np.pi ** 2)
 
@@ -242,10 +241,9 @@ def spectrum_maximum(lam: TrigPolynomial, beta: TrigPolynomial, t: float) -> flo
     vals = lambda_of_t(lam, beta, theta, t)
     i = int(np.argmax(vals))
     h = 2.0 * np.pi / _MAXIMUM_GRID
-    res = minimize_scalar(lambda x: -lambda_of_t(lam, beta, float(x), t),
-                          bounds=(theta[i] - h, theta[i] + h),
-                          method="bounded", options={"xatol": 1e-12})
-    return max(float(vals[i]), float(-res.fun))
+    _, neg_max = _refine_minimum(lambda x: -lambda_of_t(lam, beta, float(x), t),
+                                 theta[i] - h, theta[i] + h)
+    return max(float(vals[i]), float(-neg_max))
 
 
 def bk_bound(lam: TrigPolynomial, beta: TrigPolynomial, t: float,

@@ -17,7 +17,7 @@ import pytest
 from quench_entropy import (ConsistencyError, EvolutionSetup, TrigPolynomial,
                             evolve, gap_family)
 import quench_entropy
-from quench_entropy import cli, pipeline, reduction
+from quench_entropy import cli, pipeline, reduction, spectral
 from quench_entropy.evolution import GaussianPureState
 from quench_entropy.pipeline import CSV_HEADER
 from quench_entropy.szego import szego_sum_for
@@ -224,6 +224,43 @@ def test_verify_quick_subprocess():
     assert set(report["families"]) == {"spectral", "evolution", "reduction", "szego"}
     for fam in report["families"].values():
         assert fam["passed"] and fam["checks"]
+
+
+def test_library_runs_without_scipy():
+    # the CLI's whole path (validation, a dense row with bk_bound, the
+    # spectrum maximum) loads numpy only
+    code = (
+        "import sys\n"
+        "import quench_entropy, quench_entropy.cli\n"
+        "from quench_entropy import pipeline, szego\n"
+        "config = pipeline.ScenarioConfig('gap:c=1.5', 'poly:1.05,0.05', N=32)\n"
+        "lam, beta = config.symbols()\n"
+        "row = pipeline.compute_row(lam, beta, 32, 16, 2.0, None, True, True)\n"
+        "assert row.bk_bound > 0.0 and row.exact_entropy > 0.0\n"
+        "assert szego.spectrum_maximum(lam, beta, 2.0) > 0.0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=_CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_row_args_adds_no_scan(monkeypatch):
+    # the config keeps the symbols it validated, so building the rows reuses
+    # their extrema instead of parsing and scanning both specs again
+    calls = []
+    real = spectral._refine_minimum
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(spectral, "_refine_minimum", counting)
+    config = pipeline.ScenarioConfig(LAM15, "poly:1.05,0.05", N=32, steps=3)
+    assert len(calls) == 4  # minimum and maximum of each symbol
+    args = pipeline._row_args(config)
+    assert len(calls) == 4
+    assert args[0][:2] == config.symbols()
 
 
 def test_fault_injection_breaks_purity(monkeypatch):

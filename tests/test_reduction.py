@@ -20,7 +20,7 @@ from quench_entropy import (ConsistencyError, EvolutionSetup,
                             TrigPolynomial, densify, det_bound, entropy_record,
                             evolve, exact_entropy, gap_family, partition,
                             purity, reduce, symbol_record)
-from quench_entropy.reduction import logdet_pd
+from quench_entropy.reduction import _toeplitz, logdet_pd
 
 LAM15 = gap_family(1.5)
 FLAT = TrigPolynomial([1.0])
@@ -74,6 +74,30 @@ def test_densify_matches_circulant_at_time_zero():
     ref = build_circulant(beta, 16).to_dense()
     assert np.abs(dense.imag).max() < 1e-15
     assert np.abs(dense.real - ref).max() < 1e-14
+
+
+def test_densify_matches_scipy_circulant():
+    linalg = pytest.importorskip("scipy.linalg")
+    state = evolve(EvolutionSetup(LAM15, TrigPolynomial([1.05, 0.05]), 24), 2.5)
+    row = np.fft.ifft(np.asarray(state.mode_symbols, dtype=complex))
+    ref = linalg.circulant(row).T
+    assert np.array_equal(densify(state), 0.5 * (ref + ref.T))
+
+
+def test_toeplitz_matches_scipy():
+    # the blocks symbol_record cuts: square symmetric ones and the n x (N - n)
+    # coupling block, from real and complex rows
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(43)
+    N, n = 13, 5
+    for s in (rng.normal(size=N), rng.normal(size=N) + 1j * rng.normal(size=N)):
+        block = _toeplitz(s[n:0:-1], s[n:])
+        assert block.shape == (n, N - n)
+        assert np.array_equal(block, linalg.toeplitz(s[n:0:-1], s[n:]))
+        assert np.array_equal(_toeplitz(s[:n], s[:n]), linalg.toeplitz(s[:n], s[:n]))
+        assert block.dtype == s.dtype
+    assert np.array_equal(_toeplitz(s.real[:n]), linalg.toeplitz(s.real[:n]))
+    assert np.array_equal(_toeplitz(s.real[:1]), linalg.toeplitz(s.real[:1]))
 
 
 def test_densify_preserves_mode_spectrum():

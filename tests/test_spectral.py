@@ -144,13 +144,13 @@ def test_is_critical_classification():
 
 def test_extrema_scanned_once_per_instance(monkeypatch):
     calls = []
-    real = spectral.minimize_scalar
+    real = spectral._refine_minimum
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(spectral, "minimize_scalar", counting)
+    monkeypatch.setattr(spectral, "_refine_minimum", counting)
     lam = gap_family(1.5)
     for _ in range(3):
         assert not is_critical(lam)
@@ -160,6 +160,40 @@ def test_extrema_scanned_once_per_instance(monkeypatch):
     assert len(calls) == 2  # one refinement for the minimum, one for the maximum
     is_critical(gap_family(1.5))  # a new instance scans again
     assert len(calls) == 4
+
+
+def test_extrema_agree_with_minimize_scalar():
+    # the refinement the scan used before: scipy's bounded Brent search on the
+    # same cells; the refined values differ by rounding on the symbol's scale
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        deg = int(rng.integers(1, 6))
+        f = TrigPolynomial(rng.normal(size=deg + 1))
+        grid = max(4096, 4 * deg)
+        theta = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+        vals = f(theta)
+        h = 2.0 * np.pi / grid
+        scale = np.abs(vals).max()
+        ext = extrema(f)
+        for idx, sign, got in ((np.argmin(vals), 1.0, ext.minimum),
+                               (np.argmax(vals), -1.0, ext.maximum)):
+            res = optimize.minimize_scalar(
+                lambda x: sign * evaluate(f, x), bounds=(theta[idx] - h, theta[idx] + h),
+                method="bounded", options={"xatol": 1e-12})
+            ref = sign * float(res.fun)
+            assert abs(got - ref) <= 1e-14 * scale, (f.coeffs, sign, got, ref)
+
+
+def test_to_dense_matches_scipy_circulant():
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(42)
+    for row in (rng.normal(size=9), rng.normal(size=8) + 1j * rng.normal(size=8)):
+        dense = spectral.CirculantMatrix(row, row.size).to_dense()
+        assert np.array_equal(dense, linalg.circulant(row).T)
+        assert dense.dtype == row.dtype
+    circ = build_circulant(gap_family(1.5), 12)
+    assert np.array_equal(circ.to_dense(), linalg.circulant(circ.first_row).T)
 
 
 def test_pickled_symbol_keeps_classification():

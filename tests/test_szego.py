@@ -93,6 +93,14 @@ def test_parseval_matches_coefficient_sum():
         assert abs(p - s) / s < 1e-4, (t, s, p)
 
 
+def test_parseval_frozen_values():
+    # recorded from the modulo-indexed loop the slice table replaced
+    lam = gap_family(1.5)
+    assert parseval_check(lam, FLAT, 1.0) == 0.2138324247324734
+    assert parseval_check(lam, FLAT, 3.0) == 0.49659631039127633
+    assert parseval_check(lam, FLAT, 5.0) == 0.527937294214642
+
+
 def test_parseval_rejects_odd_grid():
     with pytest.raises(ValueError):
         parseval_check(LAM15, FLAT, 1.0, grid=999)
@@ -127,6 +135,33 @@ def test_spectrum_maximum_examples():
     assert abs(spectrum_maximum(LAM15, FLAT, 0.0) - 1.0) < 1e-12
     beta = TrigPolynomial([1.5, -1.0])
     assert abs(spectrum_maximum(LAM15, beta, 4.0) - 2.5) < 1e-10
+
+
+def test_spectrum_maximum_agrees_with_minimize_scalar():
+    # the refinement minimize_scalar ran before on the same grid cells. It
+    # stops once its bracket is within ~1.5e-8 |x| (its sqrt-eps term), so its
+    # maximum may trail the golden-section one by ~1e-13 at large t; the
+    # golden-section maximum never trails it beyond rounding.
+    optimize = pytest.importorskip("scipy.optimize")
+    from quench_entropy.evolution import lambda_of_t
+    rng = np.random.default_rng(44)
+    grid = 16384
+    theta = 2.0 * np.pi * np.arange(grid) / grid
+    h = 2.0 * np.pi / grid
+    for _ in range(40):
+        deg = int(rng.integers(1, 6))
+        lam = TrigPolynomial(np.r_[3.0 + abs(rng.normal()), 0.5 * rng.normal(size=deg)])
+        beta = TrigPolynomial(np.r_[2.0, 0.3 * rng.normal(size=deg)])
+        t = float(rng.uniform(0.0, 20.0))
+        vals = lambda_of_t(lam, beta, theta, t)
+        i = int(np.argmax(vals))
+        res = optimize.minimize_scalar(
+            lambda x: -lambda_of_t(lam, beta, float(x), t),
+            bounds=(theta[i] - h, theta[i] + h), method="bounded", options={"xatol": 1e-12})
+        ref = max(float(vals[i]), -float(res.fun))
+        got = spectrum_maximum(lam, beta, t)
+        assert got >= ref * (1.0 - 1e-14), (t, got, ref)
+        assert got <= ref * (1.0 + 1e-12), (t, got, ref)
 
 
 def test_bk_bound_zero_at_time_zero():
