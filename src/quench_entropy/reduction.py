@@ -33,6 +33,8 @@ from .spectral import CirculantMatrix
 
 _COND_LIMIT = 1e12
 _PURITY_AGREE_TOL = 1e-9
+# rows per step of the blocked forward substitution in `_solve_lower`
+_SOLVE_BLOCK = 32
 
 
 @dataclasses.dataclass(frozen=True)
@@ -315,9 +317,23 @@ def _toeplitz(col: np.ndarray, row: np.ndarray | None = None) -> np.ndarray:
     computed, so each block equals the matching block of the dense matrix.
     """
     row = col if row is None else row
+    # row i of the result is the window vals[col.size - 1 - i:][:row.size]
     vals = np.concatenate((col[::-1], row[1:]))
-    i = np.arange(col.size)
-    return vals[col.size - 1 - i[:, None] + np.arange(row.size)[None, :]]
+    return np.lib.stride_tricks.sliding_window_view(vals, row.size)[::-1].copy()
+
+
+def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """L^{-1} B for a lower-triangular L, by forward substitution over row blocks.
+
+    Each step solves one small diagonal block and subtracts the rows already
+    solved with one matrix product; np.linalg.solve on all of L would spend an
+    LU factorisation on a matrix that is already triangular.
+    """
+    Y = np.empty_like(B)
+    for i in range(0, L.shape[0], _SOLVE_BLOCK):
+        rows = slice(i, i + _SOLVE_BLOCK)
+        Y[rows] = np.linalg.solve(L[rows, rows], B[rows] - L[rows, :i] @ Y[:i])
+    return Y
 
 
 def _cholesky(M: np.ndarray, what: str) -> np.ndarray:
@@ -381,8 +397,8 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
                             identity_residual=0.0, condition_estimate=cond, n=n, N=N)
 
     # C = X + iZ; with Y = L_T^{-1} C, X^T T~^{-1} X = Yx^T Yx, likewise for Z
-    Y = np.linalg.solve(chol_t, np.hstack([_toeplitz(s.real[n:0:-1], s.real[n:]),
-                                           _toeplitz(s.imag[n:0:-1], s.imag[n:])]))
+    Y = _solve_lower(chol_t, np.hstack([_toeplitz(s.real[n:0:-1], s.real[n:]),
+                                        _toeplitz(s.imag[n:0:-1], s.imag[n:])]))
     Yx, Yz = Y[:, :m], Y[:, m:]
     schur = R_t - Yx.T @ Yx
     P_t = _toeplitz(rows["inv_real"][:m])

@@ -20,7 +20,7 @@ from quench_entropy import (ConsistencyError, EvolutionSetup,
                             TrigPolynomial, densify, det_bound, entropy_record,
                             evolve, exact_entropy, gap_family, partition,
                             purity, reduce, symbol_record)
-from quench_entropy.reduction import _toeplitz, logdet_pd
+from quench_entropy.reduction import _solve_lower, _toeplitz, logdet_pd
 
 LAM15 = gap_family(1.5)
 FLAT = TrigPolynomial([1.0])
@@ -98,6 +98,19 @@ def test_toeplitz_matches_scipy():
         assert block.dtype == s.dtype
     assert np.array_equal(_toeplitz(s.real[:n]), linalg.toeplitz(s.real[:n]))
     assert np.array_equal(_toeplitz(s.real[:1]), linalg.toeplitz(s.real[:1]))
+
+
+def test_solve_lower_matches_scipy_solve_triangular():
+    # sizes below, at and across the substitution's block boundary
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(45)
+    for n in (1, 5, 32, 33, 70):
+        A = rng.normal(size=(n, n))
+        L = np.linalg.cholesky(A @ A.T + n * np.eye(n))
+        B = rng.normal(size=(n, 2 * n + 3))
+        got = _solve_lower(L, B)
+        ref = linalg.solve_triangular(L, B, lower=True)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), n
 
 
 def test_densify_preserves_mode_spectrum():
