@@ -94,7 +94,8 @@ class TrigPolynomial:
 
 @dataclasses.dataclass(frozen=True)
 class CirculantMatrix:
-    """Real symmetric circulant matrix, stored as its first row."""
+    """Circulant matrix, stored as its first row; real and symmetric when
+    built from a symbol, which `eigenvalues` assumes."""
 
     first_row: np.ndarray
     size: int

@@ -187,11 +187,11 @@ def parseval_check(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
     if np.ptp(log_spec) == 0.0:
         return 0.0
     # three periods, so every wrapped sample run is one contiguous slice
-    ext = np.tile(log_spec, 3)
+    table = np.tile(log_spec, 3)
     total = 0.0
     for j in range(grid // 2):
         eta2 = (j + 0.5) * h
-        diff = ext[grid - j - 1: 2 * grid - j - 1] - ext[grid + j: 2 * grid + j]
+        diff = table[grid - j - 1: 2 * grid - j - 1] - table[grid + j: 2 * grid + j]
         total += float(np.sum(diff * diff)) / np.sin(eta2) ** 2
     return total * h * h / (16.0 * np.pi ** 2)
 
