@@ -53,8 +53,10 @@ class ScenarioConfig:
     jobs: int = 1
     # the validated (lambda, beta) instances, so their extrema are scanned once
     _symbols: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    # a validated config whose symbols are reused for the specs it shares
+    _reuse: dataclasses.InitVar["ScenarioConfig | None"] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _reuse):
         if self.N < 2:
             raise ValueError(f"N={self.N} too small")
         cut = self.cut()
@@ -69,10 +71,13 @@ class ScenarioConfig:
         if self.jobs < 1:
             raise ValueError(f"jobs={self.jobs} must be at least 1")
         # parse eagerly so config errors surface before any computation
-        lam = parse_spectral_spec(self.lambda_spec)
-        beta = parse_spectral_spec(self.beta_spec)
-        require_nonnegative(lam, "coupling spectrum (lambda)")
-        require_positive(beta, "initial width spectrum (beta)")
+        lam, beta = _reuse.symbols() if _reuse is not None else (None, None)
+        if lam is None or _reuse.lambda_spec != self.lambda_spec:
+            lam = parse_spectral_spec(self.lambda_spec)
+            require_nonnegative(lam, "coupling spectrum (lambda)")
+        if beta is None or _reuse.beta_spec != self.beta_spec:
+            beta = parse_spectral_spec(self.beta_spec)
+            require_positive(beta, "initial width spectrum (beta)")
         if self.N <= 2 * max(lam.degree, beta.degree):
             raise ValueError(
                 f"N={self.N} must exceed twice the symbol degree "
@@ -321,15 +326,16 @@ SWEEP_PARAMS = ("c", "N", "n", "t1")
 
 
 def _sweep_config(base: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
+    """base with one parameter swept; only a changed spec is parsed and scanned."""
     if param == "c":
-        return dataclasses.replace(base, lambda_spec=f"gap:c={value}")
-    if param == "N":
-        return dataclasses.replace(base, N=int(value))
-    if param == "n":
-        return dataclasses.replace(base, n=int(value))
-    if param == "t1":
-        return dataclasses.replace(base, t1=float(value))
-    raise ValueError(f"unknown sweep parameter {param!r}")
+        change = {"lambda_spec": f"gap:c={value}"}
+    elif param in ("N", "n"):
+        change = {param: int(value)}
+    elif param == "t1":
+        change = {"t1": float(value)}
+    else:
+        raise ValueError(f"unknown sweep parameter {param!r}")
+    return dataclasses.replace(base, **change, _reuse=base)
 
 
 def run_sweep(base: ScenarioConfig, param: str, values) -> tuple[str, list]:

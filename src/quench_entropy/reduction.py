@@ -19,6 +19,17 @@ approximation, and it keeps genuinely uncoupled configurations exactly clean.
 block above is a Toeplitz matrix of a symbol built from the mode amplitudes.
 The pipeline uses it; the dense functions stay as its reference
 implementation, used by the tests and `verify`.
+
+Both sides of the cut are intervals and every symbol is even, so each block
+`symbol_record` cuts commutes with the reflection J of its interval: the
+symmetric Toeplitz blocks satisfy J B J = B, and the coupling block
+J_n C J_m = C, exactly, because the circulant row is symmetrised exactly.
+In the orthonormal basis (e_i +- e_{k-1-i})/sqrt(2) of each interval (the
+middle index of an odd size counts as even) every block is then the direct
+sum of an even and an odd sector, and `symbol_record` runs its linear algebra
+once per sector at half the size. The basis change is orthogonal and acts on
+x and p alike, so it is also symplectic: positivity, log-determinants,
+Frobenius norms and the Williamson spectrum all split over the two sectors.
 """
 
 from __future__ import annotations
@@ -35,6 +46,7 @@ _COND_LIMIT = 1e12
 _PURITY_AGREE_TOL = 1e-9
 # rows per step of the blocked forward substitution in `_solve_lower`
 _SOLVE_BLOCK = 32
+_SQRT_HALF = np.sqrt(0.5)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -336,6 +348,23 @@ def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     return Y
 
 
+def _fold(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd reflection sectors of a block B with J_r B J_c = B.
+
+    They are the two diagonal blocks of Q_r B Q_c^T, with Q the basis
+    (e_i +- e_{k-1-i})/sqrt(2); its off-diagonal blocks vanish, so they are
+    read as sums and differences of B's entries, without a product with Q.
+    """
+    r, c = B.shape
+    flip = B[:, ::-1]
+    even = B[:(r + 1) // 2, :(c + 1) // 2] + flip[:(r + 1) // 2, :(c + 1) // 2]
+    # an odd size's middle row or column carries weight 1, not 1/sqrt(2)
+    even[r // 2:, :c // 2] *= _SQRT_HALF
+    even[:r // 2, c // 2:] *= _SQRT_HALF
+    even[r // 2:, c // 2:] *= 0.5
+    return even, B[:r // 2, :c // 2] - flip[:r // 2, :c // 2]
+
+
 def _cholesky(M: np.ndarray, what: str) -> np.ndarray:
     try:
         return np.linalg.cholesky(M)
@@ -359,9 +388,16 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
     against the Schur complement of the blocks of Re A. An exactly zero
     coupling block gives exactly zero columns, as on the dense route.
 
-    The Williamson spectrum of the reduced covariance V = L L^T is the
-    positive half of the eigenvalues of the Hermitian i L^T Omega L, taken on
-    the smaller side of the cut.
+    Every block is folded into its even and odd reflection sectors (see the
+    module docstring) and the factorisations run once per sector. A block is
+    positive definite exactly when both its sectors are; log-determinants
+    add; the Schur residual is the Frobenius norm of the two sector residuals;
+    the Williamson spectrum is the union of the two sector spectra. The
+    purity and nu_min checks are made on the combined figures.
+
+    The Williamson spectrum of a reduced covariance V = L L^T is the positive
+    half of the eigenvalues of the Hermitian i L^T Omega L, taken on the
+    smaller side of the cut.
     """
     a = np.asarray(state.mode_symbols, dtype=complex)
     N = a.shape[0]
@@ -375,10 +411,10 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
         raise IllConditionedError(
             f"matrix too ill-conditioned to partition (estimate {cond:.3g})",
             condition_estimate=cond)
-    T_t = _toeplitz(s.real[:n])
-    R_t = _toeplitz(s.real[:m])
-    chol_t = _cholesky(T_t, "real part of the traced block")
-    _cholesky(R_t, "real part of the kept block")
+    T_t = _fold(_toeplitz(s.real[:n]))
+    R_t = _fold(_toeplitz(s.real[:m]))
+    chol_t = [_cholesky(T, "real part of the traced block") for T in T_t]
+    chol_r = [_cholesky(R, "real part of the kept block") for R in R_t]
 
     # global purity, mode by mode: the DFT block-diagonalises the covariance
     # into the 2x2 blocks [[1, -Im a], [-Im a, |a|^2]] / (2 Lambda)
@@ -396,19 +432,35 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
         return SymbolRecord(t=t, exact_entropy=0.0, neg_log_purity=0.0, det_bound=0.0,
                             identity_residual=0.0, condition_estimate=cond, n=n, N=N)
 
-    # C = X + iZ; with Y = L_T^{-1} C, X^T T~^{-1} X = Yx^T Yx, likewise for Z
-    Y = _solve_lower(chol_t, np.hstack([_toeplitz(s.real[n:0:-1], s.real[n:]),
-                                        _toeplitz(s.imag[n:0:-1], s.imag[n:])]))
-    Yx, Yz = Y[:, :m], Y[:, m:]
-    schur = R_t - Yx.T @ Yx
-    P_t = _toeplitz(rows["inv_real"][:m])
-    residual = float(np.linalg.norm(np.linalg.inv(P_t) - schur))
+    # a pure global state gives both sides of the cut the same nu != 1/2, so
+    # the spectrum is read from the covariance of the smaller side
+    k = min(n, m)
+    sectors = zip(chol_t, chol_r, R_t,
+                  _fold(_toeplitz(s.real[n:0:-1], s.real[n:])),
+                  _fold(_toeplitz(s.imag[n:0:-1], s.imag[n:])),
+                  _fold(_toeplitz(rows["inv_real"][:m])),
+                  _fold(_toeplitz(0.5 * rows["inv_real"][:k])),
+                  _fold(_toeplitz(rows["xp"][:k])),
+                  _fold(_toeplitz(rows["pp"][:k])))
+    residuals, nu = [], []
+    ld_p = ld_r = ld_minus = ld_plus = 0.0
+    for L_t, L_r, R, X, Z, P, xx, xp, pp in sectors:
+        # C = X + iZ; with Y = L_T^{-1} C, X^T T~^{-1} X = Yx^T Yx, likewise for Z
+        Y = _solve_lower(L_t, np.hstack([X, Z]))
+        Yx, Yz = Y[:, :R.shape[0]], Y[:, R.shape[0]:]
+        schur = R - Yx.T @ Yx
+        residuals.append(np.linalg.norm(np.linalg.inv(P) - schur))
+        # moment form: 2 Re(Gamma - Delta) = R~ - X^T T~^{-1} X and
+        # 2 Re(Gamma + Delta) = R~ + Z^T T~^{-1} Z; the phase form uses the latter
+        ld_p += logdet_pd(P)
+        ld_r += 2.0 * float(np.sum(np.log(np.diag(L_r))))
+        ld_minus += logdet_pd(schur)
+        ld_plus += logdet_pd(R + Yz.T @ Yz)
+        L = _cholesky(np.block([[xx, xp], [xp, pp]]), "reduced covariance")
+        h = xx.shape[0]
+        nu.append(np.linalg.eigvalsh(1j * (L.T @ np.vstack([L[h:], -L[:h]])))[h:])
 
-    # moment form: 2 Re(Gamma - Delta) = R~ - X^T T~^{-1} X and
-    # 2 Re(Gamma + Delta) = R~ + Z^T T~^{-1} Z; the phase form uses the latter
-    ld_p = logdet_pd(P_t)
-    ld_plus = logdet_pd(R_t + Yz.T @ Yz)
-    log_p1 = -ld_p - 0.5 * (logdet_pd(schur) + ld_plus)
+    log_p1 = -ld_p - 0.5 * (ld_minus + ld_plus)
     log_p2 = -0.5 * (ld_p + ld_plus)
     if abs(log_p1 - log_p2) > _PURITY_AGREE_TOL:
         raise ConsistencyError(
@@ -416,19 +468,11 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
     p = float(np.exp(log_p1))
     if p > 1.0 + 1e-8:
         raise ConsistencyError(f"purity {p:.12g} exceeds 1")
-
-    # a pure global state gives both sides of the cut the same nu != 1/2, so
-    # the spectrum is read from the covariance of the smaller side
-    k = min(n, m)
-    xp = _toeplitz(rows["xp"][:k])
-    cov = np.block([[_toeplitz(0.5 * rows["inv_real"][:k]), xp],
-                    [xp, _toeplitz(rows["pp"][:k])]])
-    L = _cholesky(cov, "reduced covariance")
-    nu = np.linalg.eigvalsh(1j * (L.T @ np.vstack([L[k:], -L[:k]])))[k:]
+    nu = np.concatenate(nu)
     if nu.min() < 0.5 - 1e-8:
         raise ConsistencyError(f"unphysical covariance: nu_min = {nu.min():.12g} < 1/2")
     return SymbolRecord(
         t=t, exact_entropy=_entropy_sum(np.maximum(nu, 0.5)),
         neg_log_purity=-float(np.log(min(p, 1.0))) + 0.0,
-        det_bound=0.5 * (ld_p + logdet_pd(R_t)),
-        identity_residual=residual, condition_estimate=cond, n=n, N=N)
+        det_bound=0.5 * (ld_p + ld_r),
+        identity_residual=float(np.hypot(*residuals)), condition_estimate=cond, n=n, N=N)

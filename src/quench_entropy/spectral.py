@@ -21,31 +21,28 @@ from .errors import CriticalSymbolError, SpectralSpecError
 
 # Relative threshold below which a refined minimum counts as a zero of the symbol.
 _CRITICAL_REL_TOL = 1e-9
-# Bracket width at which the golden-section refinement stops.
+# Bracket width at which the sub-grid refinement stops: each round of
+# _REFINE_POINTS samples narrows the bracket 32-fold, so the grid cells either
+# side of a scanned extremum need 6 or 7 rounds.
 _REFINE_XATOL = 1e-12
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+_REFINE_POINTS = 65
 
 
 def _refine_minimum(fn, lo: float, hi: float) -> tuple[float, float]:
-    """(x, fn(x)) at the smallest value golden-section search finds on [lo, hi].
+    """(x, fn(x)) at the smallest sample of nested sub-grids on [lo, hi].
 
-    The bracket shrinks by 1/phi per evaluation until it is narrower than
-    _REFINE_XATOL. Callers pass the grid cells on either side of a scanned
-    extremum, where the function is unimodal.
+    Each round evaluates the vectorised fn once on _REFINE_POINTS evenly
+    spaced points and keeps the two cells either side of the best sample,
+    until that bracket is narrower than _REFINE_XATOL. Callers pass the grid
+    cells on either side of a scanned extremum, where the function is unimodal.
     """
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = fn(c), fn(d)
-    while hi - lo > _REFINE_XATOL:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = fn(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = fn(d)
-    return (c, fc) if fc < fd else (d, fd)
+    while True:
+        x = np.linspace(lo, hi, _REFINE_POINTS)
+        f = fn(x)
+        i = int(np.argmin(f))
+        lo, hi = x[max(i - 1, 0)], x[min(i + 1, _REFINE_POINTS - 1)]
+        if hi - lo <= _REFINE_XATOL:
+            return float(x[i]), float(f[i])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -185,7 +182,7 @@ def extrema(f: TrigPolynomial) -> SpectralExtrema:
     """Global extrema over one period: dense grid scan plus local refinement.
 
     The scan covers max(4096, 4 * degree) points, once per symbol instance.
-    Refinement runs golden-section search over the grid cells on either side of
+    Refinement samples nested sub-grids over the grid cells on either side of
     the scanned extremum down to a 1e-12 bracket, far below the requested 1e-10
     for these smooth symbols.
     """

@@ -241,7 +241,7 @@ def spectrum_maximum(lam: TrigPolynomial, beta: TrigPolynomial, t: float) -> flo
     vals = lambda_of_t(lam, beta, theta, t)
     i = int(np.argmax(vals))
     h = 2.0 * np.pi / _MAXIMUM_GRID
-    _, neg_max = _refine_minimum(lambda x: -lambda_of_t(lam, beta, float(x), t),
+    _, neg_max = _refine_minimum(lambda x: -lambda_of_t(lam, beta, x, t),
                                  theta[i] - h, theta[i] + h)
     return max(float(vals[i]), float(-neg_max))
 

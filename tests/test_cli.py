@@ -263,6 +263,44 @@ def test_row_args_adds_no_scan(monkeypatch):
     assert args[0][:2] == config.symbols()
 
 
+@pytest.mark.parametrize("param, values, per_value", [
+    ("t1", (2.0, 3.0, 4.0), 0), ("N", (16, 24, 40), 0), ("n", (3, 5, 7), 0),
+    ("c", (1.2, 2.0, 3.0), 2)])
+def test_sweep_parses_only_the_swept_spec(monkeypatch, param, values, per_value):
+    # a sweep reuses the base config's validated symbols; only a swept
+    # coupling is parsed and scanned again (its minimum and maximum)
+    calls = []
+    real = spectral._refine_minimum
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(spectral, "_refine_minimum", counting)
+    base = pipeline.ScenarioConfig(LAM15, "poly:1.05,0.05", N=32, steps=2, t1=1.0)
+    assert len(calls) == 4
+    configs = [pipeline._sweep_config(base, param, v) for v in values]
+    assert len(calls) == 4 + per_value * len(values)
+    text, _ = pipeline.run_sweep(base, param, values)
+    assert len(calls) == 4 + 2 * per_value * len(values)
+    assert len(text.splitlines()) == 1 + 2 * len(values)
+    for cfg in configs:
+        assert cfg.symbols()[1] is base.symbols()[1]
+        assert (cfg.symbols()[0] is base.symbols()[0]) == (param != "c")
+        assert cfg == pipeline.ScenarioConfig(cfg.lambda_spec, cfg.beta_spec, N=cfg.N, n=cfg.n,
+                                              steps=2, t1=cfg.t1)
+
+
+def test_sweep_keeps_config_errors():
+    base = pipeline.ScenarioConfig(LAM15, "poly:1.05,0.05", N=32)
+    with pytest.raises(ValueError, match="twice the symbol degree"):
+        pipeline._sweep_config(base, "N", 4)
+    with pytest.raises(ValueError, match="cut n=40"):
+        pipeline._sweep_config(base, "n", 40)
+    with pytest.raises(quench_entropy.SpectralSpecError):
+        pipeline._sweep_config(base, "c", float("nan"))
+
+
 def test_fault_injection_breaks_purity(monkeypatch):
     real_reduce = reduction.reduce
 

@@ -20,7 +20,8 @@ from quench_entropy import (ConsistencyError, EvolutionSetup,
                             TrigPolynomial, densify, det_bound, entropy_record,
                             evolve, exact_entropy, gap_family, partition,
                             purity, reduce, symbol_record)
-from quench_entropy.reduction import _solve_lower, _toeplitz, logdet_pd
+from quench_entropy import reduction
+from quench_entropy.reduction import _fold, _solve_lower, _toeplitz, logdet_pd
 
 LAM15 = gap_family(1.5)
 FLAT = TrigPolynomial([1.0])
@@ -375,6 +376,79 @@ def test_symbol_record_error_types_match_dense():
             _dense_record(state, 8)
         with pytest.raises(exc):
             symbol_record(state, 8)
+
+
+@pytest.mark.parametrize("N", [16, 17, 64])
+def test_symbol_record_blocks_reflection_symmetric(N, monkeypatch):
+    # the sector fold is exact only because every block it is handed equals
+    # its double reversal bit for bit
+    cut = []
+    real_fold = reduction._fold
+
+    def recording(B):
+        cut.append(B)
+        return real_fold(B)
+
+    monkeypatch.setattr(reduction, "_fold", recording)
+    state = evolve(EvolutionSetup(LAM15, TrigPolynomial([1.0, 0.1, -0.05]), N), 3.7)
+    for n in range(1, N):
+        cut.clear()
+        symbol_record(state, n)
+        assert len(cut) == 8  # T~, R~, X, Z, P~ and the three covariance blocks
+        for B in cut:
+            assert np.array_equal(B, B[::-1, ::-1]), (N, n, B.shape)
+
+
+def _reflection_basis(k):
+    """Rows: the even sector's (e_i + e_{k-1-i})/sqrt(2) (and e_mid), then the odd one's."""
+    Q = np.zeros((k, k))
+    h = k // 2
+    for i in range(h):
+        Q[i, i] = Q[i, k - 1 - i] = np.sqrt(0.5)
+        Q[k - 1 - i, i], Q[k - 1 - i, k - 1 - i] = np.sqrt(0.5), -np.sqrt(0.5)
+    if k % 2:
+        Q[h, h] = 1.0
+    # order: even rows 0..h-1, middle, then odd rows
+    return np.vstack([Q[:h], Q[h:k - h], Q[k - h:][::-1]])
+
+
+def test_fold_is_the_orthogonal_sector_split():
+    rng = np.random.default_rng(61)
+    for r in range(1, 10):
+        for c in range(1, 10):
+            M = rng.normal(size=(r, c))
+            B = M + M[::-1, ::-1]
+            even, odd = _fold(B)
+            assert even.shape == ((r + 1) // 2, (c + 1) // 2)
+            assert odd.shape == (r // 2, c // 2)
+            full = _reflection_basis(r) @ B @ _reflection_basis(c).T
+            assert np.abs(full[:even.shape[0], :even.shape[1]] - even).max(initial=0.0) <= 1e-13
+            assert np.abs(full[even.shape[0]:, even.shape[1]:] - odd).max(initial=0.0) <= 1e-13
+            assert np.abs(full[:even.shape[0], even.shape[1]:]).max(initial=0.0) <= 1e-13
+            assert np.abs(full[even.shape[0]:, :even.shape[1]]).max(initial=0.0) <= 1e-13
+            assert abs(math.hypot(np.linalg.norm(even), np.linalg.norm(odd))
+                       - np.linalg.norm(B)) <= 1e-13 * np.linalg.norm(B)
+            sv = np.sort(np.concatenate([np.linalg.svd(even, compute_uv=False),
+                                         np.linalg.svd(odd, compute_uv=False)]))
+            assert np.abs(sv - np.sort(np.linalg.svd(B, compute_uv=False))).max() <= 1e-13 * sv.max()
+        S = rng.normal(size=(r, r))
+        S = S + S.T
+        S = S + S[::-1, ::-1]
+        ev = np.sort(np.concatenate([np.linalg.eigvalsh(X) for X in _fold(S)]))
+        assert np.abs(ev - np.linalg.eigvalsh(S)).max() <= 1e-13 * np.abs(ev).max()
+
+
+@pytest.mark.parametrize("N, n", [(256, 1), (256, 127), (256, 128), (256, 255), (257, 128)])
+def test_symbol_record_matches_dense_large(N, n):
+    for t in (0.0, 3.0, 50.0):
+        _assert_matches_dense(LAM15, TrigPolynomial([1.0, 0.2]), N, n, t)
+
+
+def test_symbol_record_edge_cuts_agree_at_512():
+    state = evolve(EvolutionSetup(LAM15, TrigPolynomial([1.0, 0.1]), 512), 7.0)
+    first, last = symbol_record(state, 1), symbol_record(state, 511)
+    assert first.exact_entropy > 0.0
+    assert abs(first.exact_entropy - last.exact_entropy) <= 1e-12
 
 
 @st.composite

@@ -162,6 +162,23 @@ def test_extrema_scanned_once_per_instance(monkeypatch):
     assert len(calls) == 4
 
 
+def test_refine_minimum_vectorised_rounds():
+    # one vectorised call per round; the two grid cells of a 16384-point scan
+    # shrink below the 1e-12 stop in at most 7 rounds
+    shapes = []
+
+    def fn(x):
+        shapes.append(np.shape(x))
+        return (x - 0.1234567890123) ** 2
+
+    h = 2.0 * np.pi / 16384
+    x, fx = spectral._refine_minimum(fn, 0.1234 - h, 0.1234 + h)
+    assert abs(x - 0.1234567890123) <= 1e-12
+    assert fx == (x - 0.1234567890123) ** 2
+    assert 1 <= len(shapes) <= 7
+    assert all(s == (spectral._REFINE_POINTS,) for s in shapes)
+
+
 def test_extrema_agree_with_minimize_scalar():
     # the refinement the scan used before: scipy's bounded Brent search on the
     # same cells; the refined values differ by rounding on the symbol's scale
