@@ -91,11 +91,15 @@ def lambda_of_t(lam: TrigPolynomial, beta: TrigPolynomial, theta, t):
     bv = np.asarray(evaluate(beta, th), dtype=float)
     # symbols certified non-negative upstream; clamp rounding dust at a touch point
     lv = np.maximum(lv, 0.0)
-    root = np.sqrt(lv)
+    out = _evolved_width(bv, np.sqrt(lv), t)
+    return float(out) if out.ndim == 0 else out
+
+
+def _evolved_width(bv, root, t):
+    """`lambda_of_t` from the samples beta and sqrt(max(lambda, 0)) at one time."""
     c = np.cos(t * root)
     ts = t * np.sinc(t * root / np.pi)
-    out = bv / (c * c + (bv * ts) ** 2)
-    return float(out) if out.ndim == 0 else out
+    return bv / (c * c + (bv * ts) ** 2)
 
 
 def short_time_lambda(lam: TrigPolynomial, beta: TrigPolynomial, theta, t):
@@ -121,35 +125,53 @@ def evolve(setup: EvolutionSetup, t: float) -> GaussianPureState:
     return GaussianPureState(mode_symbols=syms, size=setup.size, time=float(t))
 
 
-def riccati_oracle(setup: EvolutionSetup, t_end: float, dt: float | None = None) -> GaussianPureState:
+def riccati_oracle(setup: EvolutionSetup, t_end, dt: float | None = None
+                   ) -> GaussianPureState | list[GaussianPureState]:
     """Integrate i da/dt = a^2 - lambda from a(0) = beta with classical RK4.
 
     Independent of the closed form by construction. Default step is
-    0.01 / sqrt(max lambda). Aborts with DivergenceError once any |a| exceeds
+    0.01 / sqrt(max lambda), shortened so that ceil(|t_end| / dt) equal steps
+    end exactly at t_end. Aborts with DivergenceError once any |a| exceeds
     1e8, which signals an unstable step size (the true solution is bounded).
+
+    t_end may also be a sequence of end times, which returns a list of states
+    in the same order. Each end time is one row of a single array, with its
+    own step and its own step count, and gets the same bits as on its own.
     """
+    single = np.ndim(t_end) == 0
+    ends = np.atleast_1d(np.asarray(t_end, dtype=float))
     th = setup.mode_angles()
     lv = np.maximum(np.asarray(evaluate(setup.lambda_poly, th), dtype=float), 0.0)
-    a = np.asarray(evaluate(setup.beta_poly, th), dtype=complex).copy()
-    if t_end == 0.0:
-        return GaussianPureState(mode_symbols=a, size=setup.size, time=0.0)
-    if dt is None:
+    a0 = np.asarray(evaluate(setup.beta_poly, th), dtype=complex)
+    if dt is None and ends.any():
         scale = extrema(setup.lambda_poly).maximum
         dt = 0.01 / np.sqrt(scale) if scale > 0 else 0.01
-    n_steps = max(1, int(np.ceil(abs(t_end) / dt)))
-    h = t_end / n_steps
+    n_steps = np.array([max(1, int(np.ceil(abs(t) / dt))) if t != 0.0 else 0 for t in ends])
+    # most steps first, so the rows still running are always a leading slice
+    order = np.argsort(-n_steps, kind="stable")
+    counts = n_steps[order]
+    h = np.array([t / n if n else 0.0 for t, n in zip(ends[order], counts)])[:, None]
+    a = np.tile(a0, (ends.size, 1))
 
     def rhs(y):
         return -1j * (y * y - lv)
 
-    for _ in range(n_steps):
-        k1 = rhs(a)
-        k2 = rhs(a + 0.5 * h * k1)
-        k3 = rhs(a + 0.5 * h * k2)
-        k4 = rhs(a + h * k3)
-        a = a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if np.abs(a).max() > _DIVERGENCE_LIMIT:
+    live = ends.size
+    for step in range(int(n_steps.max(initial=0))):
+        while counts[live - 1] <= step:
+            live -= 1
+        y, hy = a[:live], h[:live]
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * hy * k1)
+        k3 = rhs(y + 0.5 * hy * k2)
+        k4 = rhs(y + hy * k3)
+        y += (hy / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if np.abs(y).max() > _DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"mode amplitude exceeded {_DIVERGENCE_LIMIT:g}; "
                 f"step dt={dt:g} too large for this coupling")
-    return GaussianPureState(mode_symbols=a, size=setup.size, time=float(t_end))
+    states = [None] * ends.size
+    for row, i in enumerate(order):
+        states[i] = GaussianPureState(mode_symbols=a[row], size=setup.size,
+                                      time=float(ends[i]))
+    return states[0] if single else states

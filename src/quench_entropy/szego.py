@@ -10,6 +10,10 @@ integrands, and every grid is doubled until the coefficients stop moving):
   traveling part whose support measures the correlation light cone,
 * the momentum-coefficient bound sum k b_k^2 / M^2,
 * least-squares growth fits (linear window and short-time quadratic).
+
+The quadratures and the spectrum maximum read their samples from one shared
+table per symbol pair (`_sample_table`), so each grid is sampled once and
+reused across coefficient kinds, k_max retries and later time points.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import dataclasses
 import numpy as np
 
 from .errors import CriticalSymbolError, QuadratureError, TailCriterionError
-from .evolution import lambda_of_t
+from .evolution import _evolved_width, lambda_of_t
 from .spectral import (TrigPolynomial, _refine_minimum, evaluate, group_velocity_bound,
                        is_critical)
 
@@ -78,10 +82,13 @@ def _pow2_at_least(n: int) -> int:
     return g
 
 
-def _cosine_coeffs_once(sample_fn, k_max: int, grid: int) -> np.ndarray:
-    """One quadrature pass: k_max+1 real Fourier coefficients (1/2pi convention)."""
-    theta = 2.0 * np.pi * np.arange(grid) / grid
-    vals = np.asarray(sample_fn(theta), dtype=float)
+def _cosine_coeffs_once(samples, k_max: int, grid: int) -> np.ndarray:
+    """One quadrature pass: k_max+1 real Fourier coefficients (1/2pi convention)
+    of the samples on the uniform `grid`-point grid, or of a function of its
+    angles."""
+    if callable(samples):
+        samples = samples(2.0 * np.pi * np.arange(grid) / grid)
+    vals = np.asarray(samples, dtype=float)
     if np.ptp(vals) == 0.0:
         out = np.zeros(k_max + 1)
         out[0] = vals[0]
@@ -91,20 +98,90 @@ def _cosine_coeffs_once(sample_fn, k_max: int, grid: int) -> np.ndarray:
     return (np.fft.rfft(vals)[: k_max + 1] / grid).real
 
 
-def _stabilized_cosine_coeffs(sample_fn, k_max: int) -> np.ndarray:
-    """Fourier coefficients with automatic grid doubling until they stabilize."""
+class _SampleTable:
+    """Samples of one (lambda, beta) pair on the uniform grid of `size` points.
+
+    It keeps the time-independent max(lambda, 0), beta and sqrt(max(lambda, 0))
+    and Lambda(theta, t) for the last time asked for. Every power-of-two grid
+    below `size` is a strided view: its angles 2 pi j / grid have the same bits
+    as the even-index angles of the grid twice as fine, so a view gives the
+    bits a fresh grid would.
+    """
+
+    def __init__(self, lam: TrigPolynomial, beta: TrigPolynomial, size: int):
+        theta = 2.0 * np.pi * np.arange(size) / size
+        self.key = _pair_key(lam, beta)
+        self.size = size
+        self.lam = np.maximum(np.asarray(evaluate(lam, theta), dtype=float), 0.0)
+        self.beta = np.asarray(evaluate(beta, theta), dtype=float)
+        self.root = np.sqrt(self.lam)
+        self._evolved = (None, 1, None)  # (t, grid, Lambda samples)
+
+    def symbols(self, grid: int):
+        """max(lambda, 0), beta and its square root on the `grid`-point grid."""
+        step = self.size // grid
+        return self.lam[::step], self.beta[::step], self.root[::step]
+
+    def evolved(self, t: float, grid: int) -> np.ndarray:
+        """Lambda(theta, t) on the `grid`-point grid, as `lambda_of_t` gives it."""
+        last_t, last_grid, vals = self._evolved
+        if last_t != t or last_grid % grid:
+            _, bv, root = self.symbols(grid)
+            vals = _evolved_width(bv, root, t)
+            self._evolved = (t, grid, vals)
+            last_grid = grid
+        return vals[::last_grid // grid]
+
+
+_table: _SampleTable | None = None
+
+
+def _pair_key(lam: TrigPolynomial, beta: TrigPolynomial) -> tuple:
+    return lam.coeffs.tobytes(), beta.coeffs.tobytes()
+
+
+def _sample_table(lam: TrigPolynomial, beta: TrigPolynomial, grid: int) -> _SampleTable:
+    """The module's sample table for (lam, beta), covering the `grid`-point grid.
+
+    It holds one pair at a time: a new pair, or a grid the table does not
+    divide, replaces it, so its size stays that of the finest grid in use.
+    """
+    global _table
+    table = _table
+    if table is None or table.key != _pair_key(lam, beta) or table.size % grid:
+        table = _table = _SampleTable(lam, beta, grid)
+    return table
+
+
+def _stabilized_cosine_coeffs(samples_at, k_max: int) -> np.ndarray:
+    """Fourier coefficients with automatic grid doubling until they stabilize.
+
+    `samples_at(grid)` gives the samples on a uniform grid. Each pass compares
+    against the even-index samples of the pass before, so every grid is
+    sampled once.
+    """
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
     grid = _pow2_at_least(max(_QUAD_START, 8 * (k_max + 1)))
-    prev = _cosine_coeffs_once(sample_fn, k_max, grid)
+    prev = None
     while grid <= _QUAD_CAP:
+        fine = samples_at(2 * grid)
+        if prev is None:
+            prev = _cosine_coeffs_once(fine[::2], k_max, grid)
         grid *= 2
-        cur = _cosine_coeffs_once(sample_fn, k_max, grid)
+        cur = _cosine_coeffs_once(fine, k_max, grid)
         if np.abs(cur - prev).max() <= _COEFF_STABLE_TOL:
             return cur
         prev = cur
     raise QuadratureError(
         f"coefficients did not stabilize to {_COEFF_STABLE_TOL:g} below grid {_QUAD_CAP}")
+
+
+def _evolved_coeffs(lam: TrigPolynomial, beta: TrigPolynomial, t: float, k_max: int,
+                    transform) -> np.ndarray:
+    """Stabilized coefficients of transform(Lambda(theta, t)), from the sample table."""
+    return _stabilized_cosine_coeffs(
+        lambda grid: transform(_sample_table(lam, beta, grid).evolved(t, grid)), k_max)
 
 
 def default_k_max(lam: TrigPolynomial, t: float) -> int:
@@ -116,8 +193,7 @@ def default_k_max(lam: TrigPolynomial, t: float) -> int:
 def log_symbol_coeffs(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
                       k_max: int) -> np.ndarray:
     """Coefficients c_k of ln Lambda^{-1}(theta, t), k = 0..k_max."""
-    return _stabilized_cosine_coeffs(
-        lambda th: -np.log(lambda_of_t(lam, beta, th, t)), k_max)
+    return _evolved_coeffs(lam, beta, t, k_max, lambda vals: -np.log(vals))
 
 
 def szego_sum(c: np.ndarray, enforce_tail: bool = True) -> float:
@@ -199,8 +275,7 @@ def parseval_check(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
 def bk_coeffs(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
               k_max: int) -> np.ndarray:
     """Coefficients b_k of the inverse evolved spectrum Lambda^{-1}(theta, t)."""
-    return _stabilized_cosine_coeffs(
-        lambda th: 1.0 / lambda_of_t(lam, beta, th, t), k_max)
+    return _evolved_coeffs(lam, beta, t, k_max, lambda vals: 1.0 / vals)
 
 
 def _require_gapped(lam: TrigPolynomial, what: str) -> None:
@@ -220,15 +295,14 @@ def mu_sigma(lam: TrigPolynomial, beta: TrigPolynomial, t: float, k_max: int):
     """
     _require_gapped(lam, "the static/traveling coefficient split")
 
-    def sample_sigma(th):
-        lv = np.asarray(evaluate(lam, th), dtype=float)
-        bv = np.asarray(evaluate(beta, th), dtype=float)
+    # lambda > 0 on a gapped coupling, so the table's max(lambda, 0) is lambda
+    def sample_sigma(grid):
+        lv, bv, _ = _sample_table(lam, beta, grid).symbols(grid)
         return (lv + bv * bv) / (bv * lv)
 
-    def sample_mu(th):
-        lv = np.asarray(evaluate(lam, th), dtype=float)
-        bv = np.asarray(evaluate(beta, th), dtype=float)
-        return (lv - bv * bv) * np.cos(2.0 * t * np.sqrt(lv)) / (bv * lv)
+    def sample_mu(grid):
+        lv, bv, root = _sample_table(lam, beta, grid).symbols(grid)
+        return (lv - bv * bv) * np.cos(2.0 * t * root) / (bv * lv)
 
     sigma = 0.5 * _stabilized_cosine_coeffs(sample_sigma, k_max)
     mu = 0.5 * _stabilized_cosine_coeffs(sample_mu, k_max)
@@ -237,12 +311,12 @@ def mu_sigma(lam: TrigPolynomial, beta: TrigPolynomial, t: float, k_max: int):
 
 def spectrum_maximum(lam: TrigPolynomial, beta: TrigPolynomial, t: float) -> float:
     """max_theta Lambda(theta, t): dense scan plus bounded local refinement."""
-    theta = 2.0 * np.pi * np.arange(_MAXIMUM_GRID) / _MAXIMUM_GRID
-    vals = lambda_of_t(lam, beta, theta, t)
+    vals = _sample_table(lam, beta, _MAXIMUM_GRID).evolved(t, _MAXIMUM_GRID)
     i = int(np.argmax(vals))
+    theta_i = 2.0 * np.pi * i / _MAXIMUM_GRID
     h = 2.0 * np.pi / _MAXIMUM_GRID
     _, neg_max = _refine_minimum(lambda x: -lambda_of_t(lam, beta, x, t),
-                                 theta[i] - h, theta[i] + h)
+                                 theta_i - h, theta_i + h)
     return max(float(vals[i]), float(-neg_max))
 
 

@@ -124,9 +124,9 @@ def _evolution_family(quick: bool) -> _Family:
         N = 16 if quick else 32
         horizon = 3.0 if quick else 10.0
         setup = evolution.EvolutionSetup(lam, beta, N)
+        ends = np.linspace(0.5, horizon, 4 if quick else 10)
         worst = 0.0
-        for t_end in np.linspace(0.5, horizon, 4 if quick else 10):
-            ode = evolution.riccati_oracle(setup, float(t_end))
+        for t_end, ode in zip(ends, evolution.riccati_oracle(setup, ends)):
             closed = evolution.evolve(setup, float(t_end))
             worst = max(worst, float(np.abs(ode.mode_symbols - closed.mode_symbols).max()))
         return worst < 1e-6, f"worst mode deviation {worst:.3g}"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quench_entropy import (DivergenceError, EvolutionSetup, GaussianPureState,
-                            TrigPolynomial, evolve, gap_family, lambda_of_t,
+                            TrigPolynomial, evolve, extrema, gap_family, lambda_of_t,
                             mode_symbol, riccati_oracle, short_time_lambda)
 
 LAM15 = gap_family(1.5)
@@ -138,3 +138,50 @@ def test_ode_oracle_detects_divergence():
     setup = EvolutionSetup(LAM15, FLAT, 8)
     with pytest.raises(DivergenceError):
         riccati_oracle(setup, 50.0, dt=1.0)
+
+
+def _rk4_one_end(setup, t_end):
+    """The RK4 loop for one end time, written out as the reference for the batch."""
+    th = setup.mode_angles()
+    lv = np.maximum(setup.lambda_poly(th), 0.0)
+    a = np.asarray(setup.beta_poly(th), dtype=complex)
+    dt = 0.01 / np.sqrt(extrema(setup.lambda_poly).maximum)
+    n_steps = max(1, int(np.ceil(abs(t_end) / dt)))
+    h = t_end / n_steps
+
+    def rhs(y):
+        return -1j * (y * y - lv)
+
+    for _ in range(n_steps):
+        k1 = rhs(a)
+        k2 = rhs(a + 0.5 * h * k1)
+        k3 = rhs(a + 0.5 * h * k2)
+        k4 = rhs(a + h * k3)
+        a = a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return a
+
+
+def test_ode_oracle_batch_matches_single_end_times():
+    setup = EvolutionSetup(LAM15, TrigPolynomial([1.0, 0.1]), 32)
+    ends = np.linspace(0.5, 10.0, 10)
+    batch = riccati_oracle(setup, ends)
+    assert [s.time for s in batch] == ends.tolist()
+    for t_end, state in zip(ends, batch):
+        single = riccati_oracle(setup, float(t_end))
+        assert state.mode_symbols.tobytes() == single.mode_symbols.tobytes()
+        assert state.mode_symbols.tobytes() == _rk4_one_end(setup, float(t_end)).tobytes()
+    # unsorted end times, repeats and t = 0 keep their order and their bits
+    mixed = [3.0, 0.0, 1.25, 3.0]
+    for t_end, state in zip(mixed, riccati_oracle(setup, mixed)):
+        single = riccati_oracle(setup, t_end)
+        assert state.mode_symbols.tobytes() == single.mode_symbols.tobytes()
+        assert state.time == single.time == t_end
+
+
+def test_ode_oracle_batch_detects_divergence():
+    setup = EvolutionSetup(LAM15, FLAT, 8)
+    message = "mode amplitude exceeded 1e+08; step dt=1 too large for this coupling"
+    for t_end in (50.0, [0.5, 50.0, 2.0]):
+        with pytest.raises(DivergenceError) as exc_info:
+            riccati_oracle(setup, t_end, dt=1.0)
+        assert str(exc_info.value) == message

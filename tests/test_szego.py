@@ -6,6 +6,8 @@ every coefficient of both the inverse spectrum and its logarithm analytically.
 The quadrature has no business missing those by more than rounding.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,9 @@ from quench_entropy import (CriticalSymbolError, QuadratureError, TailCriterionE
                             fit_quadratic_short_time, gap_family,
                             light_cone_profile, log_symbol_coeffs, mu_sigma,
                             parseval_check, szego_sum, szego_sum_for)
+from quench_entropy.evolution import lambda_of_t
+from quench_entropy.pipeline import compute_row
+from quench_entropy.spectral import _refine_minimum
 from quench_entropy.szego import default_k_max, spectrum_maximum
 
 LAM15 = gap_family(1.5)
@@ -299,3 +304,179 @@ def test_fit_quadratic_degenerate_cases():
     crossing = fit_quadratic_short_time(t, 0.7 + 0.258 * t ** 2 - 40.0 * t ** 4, 0.1)
     assert np.isnan(crossing.exponent)
     assert abs(flat.kappa1 - 2.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the shared sample table: same bits as fresh grids, whatever the call history
+# ---------------------------------------------------------------------------
+
+ORACLE_PASS = szego._cosine_coeffs_once
+
+
+def _random_gapped_pair(rng):
+    lam = TrigPolynomial(np.r_[3.0 + abs(rng.normal()), 0.5 * rng.normal(size=2)])
+    beta = TrigPolynomial(np.r_[1.5, 0.2 * rng.normal(size=2)])
+    return lam, beta
+
+
+def _recorded_passes(monkeypatch):
+    """(k_max, grid, coefficients) of every quadrature pass the library runs."""
+    passes = []
+
+    def recording(samples, k_max, grid):
+        out = ORACLE_PASS(samples, k_max, grid)
+        passes.append((k_max, grid, out))
+        return out
+    monkeypatch.setattr(szego, "_cosine_coeffs_once", recording)
+    return passes
+
+
+def _fresh_spectrum_maximum(lam, beta, t):
+    """The spectrum maximum from its own 16384-point scan plus refinement."""
+    grid = 16384
+    theta = 2.0 * np.pi * np.arange(grid) / grid
+    vals = lambda_of_t(lam, beta, theta, t)
+    i = int(np.argmax(vals))
+    h = 2.0 * np.pi / grid
+    _, neg_max = _refine_minimum(lambda x: -lambda_of_t(lam, beta, x, t),
+                                 theta[i] - h, theta[i] + h)
+    return max(float(vals[i]), float(-neg_max))
+
+
+def test_sample_table_matches_fresh_grids(monkeypatch):
+    # every coefficient pass equals a pass over lambda_of_t on a fresh grid
+    # bit for bit. An infinite stabilization tolerance stops each call after
+    # its G and 2G passes, which keeps the critical couplings at t = 1000 to
+    # two small grids; k_max alternates so that later grids are strided views
+    # of a finer table.
+    rng = np.random.default_rng(2027)
+    pairs = [_random_gapped_pair(rng) for _ in range(3)]
+    pairs += [(gap_family(1.0), TrigPolynomial([1.0, 0.1])),
+              (gap_family(0.5), TrigPolynomial([1.2, -0.15, 0.05])),
+              # zero on a grid angle, where the coupling samples to -1.1e-16
+              (gap_family(np.cos(2.0 * np.pi * 4 / 8192)), FLAT)]
+    monkeypatch.setattr(szego, "_COEFF_STABLE_TOL", np.inf)
+    passes = _recorded_passes(monkeypatch)
+    for lam, beta in pairs:
+        gapped = not szego.is_critical(lam)
+        for t in (0.0, 0.37, 10.0, 50.0, 1000.0):
+            for k in (300, 1500):
+                oracles = {
+                    "c": lambda th: -np.log(lambda_of_t(lam, beta, th, t)),
+                    "b": lambda th: 1.0 / lambda_of_t(lam, beta, th, t),
+                    "sigma": lambda th: (lam(th) + beta(th) ** 2) / (beta(th) * lam(th)),
+                    "mu": lambda th: ((lam(th) - beta(th) ** 2)
+                                      * np.cos(2.0 * t * np.sqrt(lam(th)))
+                                      / (beta(th) * lam(th))),
+                }
+                passes.clear()
+                results = {"c": log_symbol_coeffs(lam, beta, t, k),
+                           "b": bk_coeffs(lam, beta, t, k)}
+                if gapped:
+                    results["sigma"], results["mu"] = mu_sigma(lam, beta, t, k)
+                assert len(passes) == 2 * len(results)
+                grid = 8192 if k == 300 else 16384
+                for (name, got), (pa, pb) in zip(results.items(),
+                                                 zip(passes[::2], passes[1::2])):
+                    assert (pa[:2], pb[:2]) == ((k, grid), (k, 2 * grid))
+                    for k_max, g, coeffs in (pa, pb):
+                        ref = ORACLE_PASS(oracles[name], k_max, g)
+                        assert coeffs.tobytes() == ref.tobytes(), (name, t, k, g)
+                    scale = 0.5 if name in ("sigma", "mu") else 1.0
+                    assert got.tobytes() == (scale * pb[2]).tobytes()
+                assert spectrum_maximum(lam, beta, t) == _fresh_spectrum_maximum(lam, beta, t)
+        szego._table = None
+        assert spectrum_maximum(lam, beta, 3.0) == _fresh_spectrum_maximum(lam, beta, 3.0)
+
+
+def test_sample_table_deep_stabilization_matches_fresh_grids(monkeypatch):
+    # unpatched stabilization reaching 4G and 8G, where the coarse pass of
+    # each comparison is the even-index half of the grid sampled before
+    passes = _recorded_passes(monkeypatch)
+    for lam, beta, t, k in ((LAM15, TrigPolynomial([1.0, 0.1]), 1000.0, 300),
+                            (gap_family(0.5), FLAT, 50.0, 300)):
+        log_symbol_coeffs(lam, beta, t, k)
+        assert [g for _, g, _ in passes][-1] >= 4 * 8192
+        for k_max, g, coeffs in passes:
+            ref = ORACLE_PASS(lambda th: -np.log(lambda_of_t(lam, beta, th, t)), k_max, g)
+            assert coeffs.tobytes() == ref.tobytes(), (t, g)
+        passes.clear()
+
+
+def _bits(value):
+    if isinstance(value, szego.FourierSeries):
+        return tuple(_bits(getattr(value, f)) for f in ("c", "b", "sigma", "mu", "M",
+                                                         "t", "k_max"))
+    return None if value is None else np.asarray(value).tobytes()
+
+
+def test_sample_table_results_independent_of_call_history():
+    rng = np.random.default_rng(2028)
+    cases = [(fn, lam, beta, t)
+             for fn in (szego_sum_for, bk_bound, compute_fourier_series)
+             for lam, beta, times in ((LAM15, TrigPolynomial([1.05, 0.05]),
+                                       (0.0, 0.37, 3.0, 10.0, 25.0)),
+                                      (gap_family(0.5), FLAT, (0.37, 5.0, 20.0)))
+             for t in times]
+    fresh = []
+    for fn, lam, beta, t in cases:
+        szego._table = None  # (monkeypatch would keep every table alive)
+        fresh.append(_bits(fn(lam, beta, t)))
+    other = _random_gapped_pair(rng)
+    orders = [list(range(len(cases))), list(range(len(cases)))[::-1],
+              list(rng.permutation(len(cases)))]
+    for interleave in (False, True):
+        for order in orders:
+            got = {}
+            for i in order:
+                if interleave:
+                    szego_sum_for(*other, 7.0)
+                fn, lam, beta, t = cases[i]
+                got[i] = _bits(fn(lam, beta, t))
+            assert [got[i] for i in range(len(cases))] == fresh
+    for _ in range(20):
+        szego_sum_for(*_random_gapped_pair(rng), float(rng.uniform(0.0, 10.0)))
+    gc.collect()
+    assert sum(isinstance(o, szego._SampleTable) for o in gc.get_objects()) <= 1
+
+
+def _count_sampling(monkeypatch):
+    """Sizes of the table builds and of the Lambda(theta, t) passes."""
+    builds, evolved = [], []
+
+    class Counting(szego._SampleTable):
+        def __init__(self, lam, beta, size):
+            builds.append(size)
+            super().__init__(lam, beta, size)
+
+    def evolved_width(bv, root, t):
+        evolved.append(bv.size)
+        return real_width(bv, root, t)
+    real_width = szego._evolved_width
+    monkeypatch.setattr(szego, "_SampleTable", Counting)
+    monkeypatch.setattr(szego, "_evolved_width", evolved_width)
+    monkeypatch.setattr(szego, "_table", None)
+    return builds, evolved
+
+
+def test_compute_row_samples_each_grid_once(monkeypatch):
+    builds, evolved = _count_sampling(monkeypatch)
+    lam = gap_family(1.5)
+    # c_k, b_k and the spectrum maximum share one table and one Lambda pass
+    compute_row(lam, TrigPolynomial([1.05, 0.05]), 32, 16, 3.0, None, True, True)
+    grid = 2 * szego._pow2_at_least(max(8192, 8 * (default_k_max(lam, 3.0) + 1)))
+    assert builds == [grid] and evolved == [grid]
+    # a later time point of the same pair samples only Lambda
+    compute_row(lam, TrigPolynomial([1.05, 0.05]), 32, 16, 2.0, None, True, True)
+    assert builds == [grid] and evolved == [grid, grid]
+
+
+def test_critical_retries_add_no_sample_pass(monkeypatch):
+    builds, evolved = _count_sampling(monkeypatch)
+    passes = _recorded_passes(monkeypatch)
+    szego_sum_for(gap_family(0.5), FLAT, 50.0)
+    # k = 256 stabilizes on 32768 points; the retries at k = 512 and 1024
+    # read that same grid again
+    assert {k for k, g, _ in passes if g == 32768} >= {256, 512, 1024}
+    assert evolved == sorted(set(evolved)) == builds
+    assert len(passes) > 2 * len(evolved)
