@@ -19,13 +19,15 @@ import numpy as np
 
 from .errors import CriticalSymbolError, SpectralSpecError
 
-# Relative threshold below which a refined minimum counts as a zero of the symbol.
+# Relative threshold below which a symbol's minimum counts as a zero.
 _CRITICAL_REL_TOL = 1e-9
-# Bracket width at which the sub-grid refinement stops: each round of
-# _REFINE_POINTS samples narrows the bracket 32-fold, so the grid cells either
-# side of a scanned extremum need 6 or 7 rounds.
+# Bracket width at which the sub-grid refinement of a function that is not a
+# polynomial in cos(theta) (the evolved width, `szego.spectrum_maximum`) stops:
+# each round of _REFINE_POINTS samples narrows the bracket 32-fold, so the grid
+# cells either side of a scanned extremum need 6 or 7 rounds.
 _REFINE_XATOL = 1e-12
 _REFINE_POINTS = 65
+_EPS = np.finfo(float).eps
 
 
 def _refine_minimum(fn, lo: float, hi: float) -> tuple[float, float]:
@@ -73,20 +75,50 @@ class TrigPolynomial:
 
     @functools.cached_property
     def _extrema(self) -> SpectralExtrema:
-        # one scan per instance, carried along when the symbol is pickled
-        grid_size = max(4096, 4 * self.degree)
-        th = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)
-        vals = evaluate(self, th)
-        h = 2.0 * np.pi / grid_size
+        # one solve per instance, carried along when the symbol is pickled
+        return _solve_extrema(self)
 
-        def refine(idx, sign):
-            x, val = _refine_minimum(lambda u: sign * evaluate(self, u), th[idx] - h, th[idx] + h)
-            return float(x), float(sign * val)
 
-        amin, vmin = refine(int(np.argmin(vals)), +1.0)
-        amax, vmax = refine(int(np.argmax(vals)), -1.0)
-        return SpectralExtrema(minimum=vmin, maximum=vmax,
-                               argmin=amin % (2.0 * np.pi), argmax=amax % (2.0 * np.pi))
+def _derivative_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Real roots of d/dx sum a_m T_m(x) = sum m a_m U_{m-1}(x), clipped to [-1, 1].
+
+    They are the eigenvalues of the colleague matrix of the second-kind series:
+    x U_k = (U_{k-1} + U_{k+1}) / 2, with U_n eliminated through the series in
+    the last row. A real matrix returns its real eigenvalues with an imaginary
+    part of exactly 0, and a root of odd multiplicity (every sign change of the
+    derivative) leaves at least one of them, so only the complex pairs of
+    roots of even multiplicity are dropped; those are no extrema.
+    """
+    b = np.arange(1, coeffs.size) * coeffs[1:]
+    # leading terms below rounding move no extremum value by more than
+    # rounding; dropping them keeps the last row finite
+    b = b[: np.flatnonzero(np.abs(b) > _EPS * np.abs(b).max())[-1] + 1]
+    n = b.size - 1
+    if n == 0:
+        return np.empty(0)
+    mat = np.zeros((n, n))
+    i = np.arange(n - 1)
+    mat[i, i + 1] = mat[i + 1, i] = 0.5
+    mat[-1] -= 0.5 * b[:-1] / b[-1]
+    roots = np.linalg.eigvals(mat)
+    return np.clip(roots.real[roots.imag == 0.0], -1.0, 1.0)
+
+
+def _solve_extrema(f: TrigPolynomial) -> SpectralExtrema:
+    """Global extrema from the stationary points of f in x = cos(theta).
+
+    They lie at x = +-1 or at a real root of the derivative series, so the
+    candidates are those angles in [0, pi], each evaluated with `evaluate`.
+    Degree 0 and 1 have no interior stationary point.
+    """
+    x = np.array([1.0, -1.0])
+    if f.degree >= 2:
+        x = np.concatenate([x, _derivative_roots(f.coeffs)])
+    theta = np.arccos(x)
+    vals = evaluate(f, theta)
+    lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
+    return SpectralExtrema(minimum=float(vals[lo]), maximum=float(vals[hi]),
+                           argmin=float(theta[lo]), argmax=float(theta[hi]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -179,18 +211,19 @@ def build_circulant(f: TrigPolynomial, N: int) -> CirculantMatrix:
 
 
 def extrema(f: TrigPolynomial) -> SpectralExtrema:
-    """Global extrema over one period: dense grid scan plus local refinement.
+    """Global extrema over one period, exact up to rounding.
 
-    The scan covers max(4096, 4 * degree) points, once per symbol instance.
-    Refinement samples nested sub-grids over the grid cells on either side of
-    the scanned extremum down to a 1e-12 bracket, far below the requested 1e-10
-    for these smooth symbols.
+    With x = cos(theta) the symbol is the Chebyshev series sum a_m T_m(x), so
+    its extrema sit at theta = 0, pi or where x is a real root of the
+    derivative series; the roots come from one small eigenvalue solve per
+    symbol instance. argmin and argmax lie in [0, pi]; a symbol that touches
+    zero at a stationary point can give a minimum of exactly 0.0.
     """
     return f._extrema
 
 
 def is_critical(f: TrigPolynomial) -> bool:
-    """True when the symbol's refined minimum is (numerically) zero."""
+    """True when the symbol's minimum is (numerically) zero."""
     ext = extrema(f)
     return ext.minimum <= _CRITICAL_REL_TOL * max(1.0, abs(ext.maximum))
 
@@ -223,4 +256,4 @@ def group_velocity_bound(lam: TrigPolynomial) -> float:
     if is_critical(lam) or ext.minimum <= 0.0:
         raise CriticalSymbolError(
             "group-velocity bound undefined for critical coupling (min lambda = 0)")
-    return lam.degree * ext.maximum / np.sqrt(ext.minimum)
+    return float(lam.degree * ext.maximum / np.sqrt(ext.minimum))

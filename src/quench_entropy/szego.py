@@ -34,6 +34,8 @@ _TAIL_REL = 1e-12
 _TAIL_ABS = 1e-24
 _CONE_THRESHOLD = 1e-6
 _MAXIMUM_GRID = 16384
+# rows of the Parseval double sum reduced at once
+_PARSEVAL_BLOCK = 8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -262,13 +264,22 @@ def parseval_check(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
     log_spec = np.log(lambda_of_t(lam, beta, theta, t))
     if np.ptp(log_spec) == 0.0:
         return 0.0
-    # three periods, so every wrapped sample run is one contiguous slice
-    table = np.tile(log_spec, 3)
+    # three periods, so every wrapped sample run is one window of the table;
+    # row j of the double sum pairs window grid - j - 1 with window grid + j
+    windows = np.lib.stride_tricks.sliding_window_view(np.tile(log_spec, 3), grid)
+    half = grid // 2
+    sq = np.empty((_PARSEVAL_BLOCK, grid))
     total = 0.0
-    for j in range(grid // 2):
-        eta2 = (j + 0.5) * h
-        diff = table[grid - j - 1: 2 * grid - j - 1] - table[grid + j: 2 * grid + j]
-        total += float(np.sum(diff * diff)) / np.sin(eta2) ** 2
+    for j0 in range(0, half, _PARSEVAL_BLOCK):
+        rows = min(_PARSEVAL_BLOCK, half - j0)
+        block = sq[:rows]
+        np.subtract(windows[grid - j0 - 1: grid - j0 - 1 - rows: -1],
+                    windows[grid + j0: grid + j0 + rows], out=block)
+        np.multiply(block, block, out=block)
+        row_sums = block.sum(axis=1)
+        for j in range(j0, j0 + rows):
+            eta2 = (j + 0.5) * h
+            total += float(row_sums[j - j0]) / np.sin(eta2) ** 2
     return total * h * h / (16.0 * np.pi ** 2)
 
 
@@ -300,13 +311,18 @@ def mu_sigma(lam: TrigPolynomial, beta: TrigPolynomial, t: float, k_max: int):
         lv, bv, _ = _sample_table(lam, beta, grid).symbols(grid)
         return (lv + bv * bv) / (bv * lv)
 
+    sigma = 0.5 * _stabilized_cosine_coeffs(sample_sigma, k_max)
+    return sigma, _mu_coeffs(lam, beta, t, k_max)
+
+
+def _mu_coeffs(lam: TrigPolynomial, beta: TrigPolynomial, t: float, k_max: int) -> np.ndarray:
+    """The traveling coefficients mu_k(t) of `mu_sigma`, for a gapped coupling."""
+
     def sample_mu(grid):
         lv, bv, root = _sample_table(lam, beta, grid).symbols(grid)
         return (lv - bv * bv) * np.cos(2.0 * t * root) / (bv * lv)
 
-    sigma = 0.5 * _stabilized_cosine_coeffs(sample_sigma, k_max)
-    mu = 0.5 * _stabilized_cosine_coeffs(sample_mu, k_max)
-    return sigma, mu
+    return 0.5 * _stabilized_cosine_coeffs(sample_mu, k_max)
 
 
 def spectrum_maximum(lam: TrigPolynomial, beta: TrigPolynomial, t: float) -> float:
@@ -374,7 +390,7 @@ def light_cone_profile(lam: TrigPolynomial, beta: TrigPolynomial,
     rows = []
     edges = []
     for t in t_arr:
-        _, mu = mu_sigma(lam, beta, float(t), k_max)
+        mu = _mu_coeffs(lam, beta, float(t), k_max)
         rows.append(np.abs(mu))
         edges.append(_cone_edge(mu))
     return LightConeProfile(t_list=t_arr, mu_table=np.array(rows),

@@ -249,40 +249,40 @@ def test_row_args_adds_no_scan(monkeypatch):
     # the config keeps the symbols it validated, so building the rows reuses
     # their extrema instead of parsing and scanning both specs again
     calls = []
-    real = spectral._refine_minimum
+    real = spectral._solve_extrema
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(spectral, "_refine_minimum", counting)
+    monkeypatch.setattr(spectral, "_solve_extrema", counting)
     config = pipeline.ScenarioConfig(LAM15, "poly:1.05,0.05", N=32, steps=3)
-    assert len(calls) == 4  # minimum and maximum of each symbol
+    assert len(calls) == 2  # one solve for each symbol
     args = pipeline._row_args(config)
-    assert len(calls) == 4
+    assert len(calls) == 2
     assert args[0][:2] == config.symbols()
 
 
 @pytest.mark.parametrize("param, values, per_value", [
     ("t1", (2.0, 3.0, 4.0), 0), ("N", (16, 24, 40), 0), ("n", (3, 5, 7), 0),
-    ("c", (1.2, 2.0, 3.0), 2)])
+    ("c", (1.2, 2.0, 3.0), 1)])
 def test_sweep_parses_only_the_swept_spec(monkeypatch, param, values, per_value):
     # a sweep reuses the base config's validated symbols; only a swept
-    # coupling is parsed and scanned again (its minimum and maximum)
+    # coupling is parsed and solved again
     calls = []
-    real = spectral._refine_minimum
+    real = spectral._solve_extrema
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(spectral, "_refine_minimum", counting)
+    monkeypatch.setattr(spectral, "_solve_extrema", counting)
     base = pipeline.ScenarioConfig(LAM15, "poly:1.05,0.05", N=32, steps=2, t1=1.0)
-    assert len(calls) == 4
+    assert len(calls) == 2
     configs = [pipeline._sweep_config(base, param, v) for v in values]
-    assert len(calls) == 4 + per_value * len(values)
+    assert len(calls) == 2 + per_value * len(values)
     text, _ = pipeline.run_sweep(base, param, values)
-    assert len(calls) == 4 + 2 * per_value * len(values)
+    assert len(calls) == 2 + 2 * per_value * len(values)
     assert len(text.splitlines()) == 1 + 2 * len(values)
     for cfg in configs:
         assert cfg.symbols()[1] is base.symbols()[1]

@@ -4,6 +4,9 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import chebyshev, polynomial
 
 from quench_entropy import spectral
 from quench_entropy import (CriticalSymbolError, SpectralSpecError,
@@ -144,22 +147,22 @@ def test_is_critical_classification():
 
 def test_extrema_scanned_once_per_instance(monkeypatch):
     calls = []
-    real = spectral._refine_minimum
+    real = spectral._solve_extrema
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(spectral, "_refine_minimum", counting)
+    monkeypatch.setattr(spectral, "_solve_extrema", counting)
     lam = gap_family(1.5)
     for _ in range(3):
         assert not is_critical(lam)
         require_positive(lam)
         assert abs(group_velocity_bound(lam) - 25.0) < 1e-9
         default_k_max(lam, 1.0)
-    assert len(calls) == 2  # one refinement for the minimum, one for the maximum
-    is_critical(gap_family(1.5))  # a new instance scans again
-    assert len(calls) == 4
+    assert len(calls) == 1  # one solve gives the minimum and the maximum
+    is_critical(gap_family(1.5))  # a new instance solves again
+    assert len(calls) == 2
 
 
 def test_refine_minimum_vectorised_rounds():
@@ -200,6 +203,102 @@ def test_extrema_agree_with_minimize_scalar():
                 method="bounded", options={"xatol": 1e-12})
             ref = sign * float(res.fun)
             assert abs(got - ref) <= 1e-14 * scale, (f.coeffs, sign, got, ref)
+
+
+def _scanned_extrema(f):
+    """The scan the solve replaced: 4096 points plus `_refine_minimum` on the
+    cells either side of every sampled local minimum (and, for -f, maximum),
+    so near-equal wells cannot send the oracle to the wrong one."""
+    grid = max(4096, 4 * f.degree)
+    theta = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    h = 2.0 * np.pi / grid
+    out = []
+    for sign in (1.0, -1.0):
+        vals = sign * evaluate(f, theta)
+        wells = np.flatnonzero((vals < np.roll(vals, 1)) & (vals <= np.roll(vals, -1)))
+        wells = np.union1d(wells, [np.argmin(vals)])  # a constant has no strict well
+        out.append(sign * min(spectral._refine_minimum(lambda x: sign * evaluate(f, x),
+                                                       theta[i] - h, theta[i] + h)[1]
+                              for i in wells))
+    return out
+
+
+def _assert_matches_scan(f):
+    ext = extrema(f)
+    scale = np.abs(f.coeffs).sum()
+    lo, hi = _scanned_extrema(f)
+    assert abs(ext.minimum - lo) <= 1e-14 * scale, (f.coeffs, ext, lo)
+    assert abs(ext.maximum - hi) <= 1e-14 * scale, (f.coeffs, ext, hi)
+    # the extremes are values of f at angles in [0, pi]
+    assert 0.0 <= ext.argmin <= np.pi and 0.0 <= ext.argmax <= np.pi
+    assert abs(evaluate(f, ext.argmin) - ext.minimum) <= 4 * np.finfo(float).eps * scale
+    assert abs(evaluate(f, ext.argmax) - ext.maximum) <= 4 * np.finfo(float).eps * scale
+    return ext
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(coeffs=st.lists(st.floats(-10.0, 10.0, allow_subnormal=False), min_size=1, max_size=8))
+def test_extrema_solve_matches_scan_property(coeffs):
+    _assert_matches_scan(TrigPolynomial(coeffs))
+
+
+def _from_power_series(p):
+    # cosine coefficients of p(cos theta): its Chebyshev coefficients
+    return TrigPolynomial(chebyshev.poly2cheb(p))
+
+
+def test_extrema_exact_zero_for_critical_gap_family():
+    for c in (0.5, 1.0):
+        ext = extrema(gap_family(c))
+        assert ext.minimum == 0.0
+        assert abs(ext.argmin - np.arccos(c)) < 1e-15
+        assert ext.maximum == (c + 1.0) ** 2 and ext.argmax == np.pi
+    assert group_velocity_bound(gap_family(1.5)) == 25.0
+
+
+def test_extrema_interior_minimum_of_odd_multiplicity():
+    # (cos theta - 0.3)^4: the derivative has a triple root at x = 0.3
+    f = _from_power_series(polynomial.polypow([-0.3, 1.0], 4))
+    ext = _assert_matches_scan(f)
+    assert abs(ext.minimum) <= 1e-15
+    assert abs(ext.argmin - np.arccos(0.3)) < 1e-3
+    assert abs(ext.maximum - 1.3 ** 4) <= 1e-14 and ext.argmax == np.pi
+
+
+def test_extrema_with_an_inflection():
+    # f' = (x - 0.2)^2 (x + 0.5): the double root at x = 0.2 is an inflection,
+    # the simple root at -0.5 the minimum
+    f = _from_power_series(polynomial.polyint(
+        polynomial.polymul(polynomial.polypow([-0.2, 1.0], 2), [0.5, 1.0])))
+    ext = _assert_matches_scan(f)
+    assert abs(ext.argmin - np.arccos(-0.5)) < 1e-7
+    assert ext.argmax == 0.0
+
+
+def test_extrema_low_degree_needs_no_solve(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("eigenvalue solve for a symbol of degree <= 1")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_solve)
+    ext = extrema(TrigPolynomial([2.5]))
+    assert (ext.minimum, ext.maximum) == (2.5, 2.5)
+    ext = extrema(TrigPolynomial([0.5, -2.0]))
+    assert (ext.minimum, ext.argmin, ext.maximum, ext.argmax) == (-1.5, 0.0, 2.5, np.pi)
+    # a leading term below rounding leaves no stationary point to solve for
+    ext = extrema(TrigPolynomial([1.0, 0.5, 1e-300]))
+    assert (ext.minimum, ext.maximum) == (0.5, 1.5)
+
+
+def test_pickled_symbol_carries_its_solve(monkeypatch):
+    f = TrigPolynomial([0.4, -0.3, 0.8, 0.1, -0.25])
+    ext = _assert_matches_scan(f)
+    data = pickle.dumps(f)
+
+    def no_solve(*args):
+        raise AssertionError("a pickled symbol solved again")
+
+    monkeypatch.setattr(spectral, "_solve_extrema", no_solve)
+    assert extrema(pickle.loads(data)) == ext
 
 
 def test_to_dense_matches_scipy_circulant():

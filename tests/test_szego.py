@@ -111,6 +111,28 @@ def test_parseval_rejects_odd_grid():
         parseval_check(LAM15, FLAT, 1.0, grid=999)
 
 
+def _parseval_per_row(lam, beta, t, grid):
+    """The double sum of `parseval_check`, one row of eta2 at a time."""
+    h = 2.0 * np.pi / grid
+    log_spec = np.log(lambda_of_t(lam, beta, (np.arange(grid) + 0.5) * h, t))
+    table = np.tile(log_spec, 3)
+    total = 0.0
+    for j in range(grid // 2):
+        diff = table[grid - j - 1: 2 * grid - j - 1] - table[grid + j: 2 * grid + j]
+        total += float(np.sum(diff * diff)) / np.sin((j + 0.5) * h) ** 2
+    return total * h * h / (16.0 * np.pi ** 2)
+
+
+def test_parseval_blocked_rows_match_per_row_loop():
+    # grid / 2 = 3, 5 and 515 leave a partial block of rows
+    rng = np.random.default_rng(61)
+    for grid in (6, 10, 1030, 2048, 8192):
+        for _ in range(2):
+            lam, beta = _random_gapped_pair(rng)
+            t = float(rng.uniform(0.0, 8.0))
+            assert parseval_check(lam, beta, t, grid) == _parseval_per_row(lam, beta, t, grid)
+
+
 def test_bk_recombines_from_split():
     rng = np.random.default_rng(41)
     for _ in range(4):
@@ -201,6 +223,25 @@ def test_light_cone_doubling():
     prof = light_cone_profile(LAM15, FLAT, (8.0, 16.0))
     ratio = prof.edges[1] / prof.edges[0]
     assert 1.6 <= ratio <= 2.4, prof.edges
+
+
+def test_light_cone_profile_runs_one_quadrature_per_time(monkeypatch):
+    calls = []
+    real = szego._stabilized_cosine_coeffs
+
+    def counting(samples_at, k_max):
+        calls.append(k_max)
+        return real(samples_at, k_max)
+
+    monkeypatch.setattr(szego, "_stabilized_cosine_coeffs", counting)
+    beta = TrigPolynomial([1.05, 0.05])
+    times = (1.0, 2.0, 4.0)
+    prof = light_cone_profile(LAM15, beta, times)
+    assert len(calls) == len(times)  # mu_k only; sigma_k is never computed
+    for t, row, edge in zip(times, prof.mu_table, prof.edges):
+        _, mu = mu_sigma(LAM15, beta, t, calls[0])
+        assert np.array_equal(row, np.abs(mu))
+        assert edge == szego._cone_edge(mu)
 
 
 def test_light_cone_rejects_critical():
