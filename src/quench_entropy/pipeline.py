@@ -171,13 +171,17 @@ def config_from_dict(d: dict) -> ScenarioConfig:
 
 
 def compute_row(lam: TrigPolynomial, beta: TrigPolynomial, N: int, n: int,
-                t: float, k_max: int | None, with_dense: bool,
-                coupling_gapped: bool) -> BoundRow:
-    """All six columns for one time point, chain-checked before returning."""
-    szego_val = szego.szego_sum_for(lam, beta, t, k_max)
-    bk_val = szego.bk_bound(lam, beta, t, k_max) if coupling_gapped else float("nan")
+                t: float, k_max: int | None) -> BoundRow:
+    """All six columns for one time point, chain-checked before returning.
 
-    if with_dense:
+    The dense columns are nan above DENSE_SIZE_LIMIT, and bk_bound is nan for a
+    critical coupling.
+    """
+    gapped = not is_critical(lam)
+    szego_val = szego.szego_sum_for(lam, beta, t, k_max)
+    bk_val = szego.bk_bound(lam, beta, t, k_max) if gapped else float("nan")
+
+    if N <= DENSE_SIZE_LIMIT:
         rec = reduction.symbol_record(evolve(EvolutionSetup(lam, beta, N), t), n)
         if rec.identity_residual > _RESIDUAL_TOL:
             raise ConsistencyError(
@@ -190,7 +194,7 @@ def compute_row(lam: TrigPolynomial, beta: TrigPolynomial, N: int, n: int,
     else:
         exact = nlp = det = float("nan")
 
-    if coupling_gapped and bk_val > szego_val + _BK_CHAIN_TOL:
+    if gapped and bk_val > szego_val + _BK_CHAIN_TOL:
         raise ConsistencyError(
             f"momentum-coefficient bound {bk_val!r} exceeds the log-spectrum bound "
             f"{szego_val!r} at t={t}")
@@ -212,17 +216,15 @@ def _row_args(config: ScenarioConfig) -> list:
     Warns on stderr about every column the scenario leaves nan.
     """
     lam, beta = config.symbols()
-    with_dense = config.N <= DENSE_SIZE_LIMIT
-    gapped = not is_critical(lam)
-    if not with_dense:
+    if config.N > DENSE_SIZE_LIMIT:
         print(f"warning: N={config.N} exceeds the dense cutoff {DENSE_SIZE_LIMIT}; "
               "exact_entropy, neg_log_purity and det_bound columns are nan",
               file=sys.stderr)
-    if not gapped:
+    if is_critical(lam):
         print("warning: critical coupling (min lambda = 0); the bk_bound column is "
               "nan because the momentum-coefficient bound requires a gap",
               file=sys.stderr)
-    return [(lam, beta, config.N, config.cut(), float(t), config.k_max, with_dense, gapped)
+    return [(lam, beta, config.N, config.cut(), float(t), config.k_max)
             for t in config.time_grid()]
 
 
@@ -231,15 +233,13 @@ def run_series(config: ScenarioConfig) -> BoundSeries:
     return BoundSeries(rows=tuple(rows), metadata={"config": config.to_json_dict()})
 
 
-def _csv_line(r: BoundRow, *lead: float) -> str:
-    """One CSV row at full precision, after any leading columns."""
-    return ",".join("%.17g" % v for v in (
-        *lead, r.t, r.exact_entropy, r.neg_log_purity, r.det_bound,
-        r.szego_sum, r.bk_bound))
+def _csv_text(header: str, rows) -> str:
+    """The header line, then one line per row of numbers at full precision."""
+    return "\n".join([header, *(",".join("%.17g" % v for v in row) for row in rows)]) + "\n"
 
 
 def format_csv(series: BoundSeries) -> str:
-    return "\n".join([CSV_HEADER, *map(_csv_line, series.rows)]) + "\n"
+    return _csv_text(CSV_HEADER, map(dataclasses.astuple, series.rows))
 
 
 def write_text(text: str, out: str | None) -> None:
@@ -295,10 +295,7 @@ def run_figure1(out_dir: str, jobs: int = 1) -> dict:
         values = np.array(chunk[: len(t_grid)])
         short_values = np.array(chunk[len(t_grid):])
         path = os.path.join(out_dir, f"figure1_c{c}.csv")
-        with open(path, "w") as fh:
-            fh.write("t,szego_sum\n")
-            for t, v in zip(t_grid, values):
-                fh.write("%.17g,%.17g\n" % (t, v))
+        write_text(_csv_text("t,szego_sum", zip(t_grid, values)), path)
         line = szego.fit_linear(t_grid, values, FIGURE1_FIT_WINDOW)
         quad = szego.fit_quadratic_short_time(t_short, short_values, FIGURE1_SHORT_T_MAX)
         finals[c] = float(values[-1])
@@ -360,12 +357,11 @@ def run_sweep(base: ScenarioConfig, param: str, values) -> tuple[str, list]:
         spans.append((start, len(arglist)))
     rows = _map_rows(compute_row, arglist, base.jobs)
 
-    lines = ["param_value," + CSV_HEADER]
-    out_series = []
-    for (value, cfg, (lo, hi)) in zip(values, configs, spans):
-        series = BoundSeries(rows=tuple(rows[lo:hi]),
-                             metadata={"config": cfg.to_json_dict(),
-                                       "param": param, "param_value": value})
-        out_series.append(series)
-        lines.extend(_csv_line(r, float(value)) for r in series.rows)
-    return "\n".join(lines) + "\n", out_series
+    out_series = [BoundSeries(rows=tuple(rows[lo:hi]),
+                              metadata={"config": cfg.to_json_dict(),
+                                        "param": param, "param_value": value})
+                  for value, cfg, (lo, hi) in zip(values, configs, spans)]
+    text = _csv_text("param_value," + CSV_HEADER,
+                     ((float(value), *dataclasses.astuple(r))
+                      for value, series in zip(values, out_series) for r in series.rows))
+    return text, out_series

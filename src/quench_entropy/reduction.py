@@ -51,7 +51,8 @@ _SQRT_HALF = np.sqrt(0.5)
 
 @dataclasses.dataclass(frozen=True)
 class BlockPartition:
-    """Blocks of A (T, C, R) and of A^{-1} (Q, D, P) for a cut of n oscillators.
+    """Blocks of A (T, C, R) and of A^{-1} (Q, D, P) for a cut of n oscillators,
+    and P_tilde, the kept block of (Re A)^{-1}.
 
     Layout: the first n rows/columns are the traced-out part, so
 
@@ -64,6 +65,7 @@ class BlockPartition:
     Q: np.ndarray
     D: np.ndarray
     P: np.ndarray
+    P_tilde: np.ndarray
     n: int
     condition_estimate: float
 
@@ -115,17 +117,41 @@ def densify(state: GaussianPureState) -> np.ndarray:
     return 0.5 * (dense + dense.T)
 
 
+def _check_condition(cond: float) -> None:
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
+        raise IllConditionedError(
+            f"matrix too ill-conditioned to partition (estimate {cond:.3g})",
+            condition_estimate=cond)
+
+
+def _checked_purity(log_p1: float, log_p2: float) -> float:
+    """Purity from its moment-form and phase-form logarithms, which must agree,
+    clipped to 1 after a check that it does not exceed 1 beyond rounding."""
+    if abs(log_p1 - log_p2) > _PURITY_AGREE_TOL:
+        raise ConsistencyError(
+            f"purity formulas disagree: {np.exp(log_p1):.12g} vs {np.exp(log_p2):.12g}")
+    val = float(np.exp(log_p1))
+    if val > 1.0 + 1e-8:
+        raise ConsistencyError(f"purity {val:.12g} exceeds 1")
+    return min(val, 1.0)
+
+
+def _cholesky(M: np.ndarray, message: str) -> np.ndarray:
+    """Cholesky factor of M, or ConsistencyError(message) when M is not positive definite."""
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise ConsistencyError(message) from exc
+
+
 def logdet_pd(M: np.ndarray) -> float:
     """log det of a real symmetric positive definite matrix via Cholesky."""
-    try:
-        chol = np.linalg.cholesky(0.5 * (M + M.T))
-    except np.linalg.LinAlgError as exc:
-        raise ConsistencyError("matrix expected positive definite is not") from exc
+    chol = _cholesky(0.5 * (M + M.T), "matrix expected positive definite is not")
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
 def partition(A: np.ndarray, n: int) -> BlockPartition:
-    """Cut A and its numerically computed inverse into 2x2 blocks at index n."""
+    """Cut A, its numerically computed inverse and that of Re A into blocks at index n."""
     A = np.asarray(A)
     N = A.shape[0]
     if A.ndim != 2 or A.shape[1] != N:
@@ -136,30 +162,21 @@ def partition(A: np.ndarray, n: int) -> BlockPartition:
     norm_a = np.linalg.norm(A, 1)
     norm_i = np.linalg.norm(Ainv, 1)
     cond = float(norm_a * norm_i)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise IllConditionedError(
-            f"matrix too ill-conditioned to partition (estimate {cond:.3g})",
-            condition_estimate=cond)
+    _check_condition(cond)
     # positivity of the real-part blocks is what every downstream formula needs
     for blk, name in ((A[:n, :n], "traced block"), (A[n:, n:], "kept block")):
-        try:
-            np.linalg.cholesky(0.5 * (blk.real + blk.real.T))
-        except np.linalg.LinAlgError as exc:
-            raise ConsistencyError(f"real part of the {name} is not positive definite") from exc
+        _cholesky(0.5 * (blk.real + blk.real.T),
+                  f"real part of the {name} is not positive definite")
+    T, C, R = A[:n, :n], A[:n, n:], A[n:, n:]
+    full_real = np.block([[T.real, C.real], [C.real.T, R.real]])
     return BlockPartition(
-        T=A[:n, :n], C=A[:n, n:], R=A[n:, n:],
-        Q=Ainv[:n, :n], D=Ainv[:n, n:], P=Ainv[n:, n:],
-        n=n, condition_estimate=cond)
+        T=T, C=C, R=R, Q=Ainv[:n, :n], D=Ainv[:n, n:], P=Ainv[n:, n:],
+        P_tilde=np.linalg.inv(full_real)[n:, n:], n=n, condition_estimate=cond)
 
 
 def _tilde(blocks: BlockPartition):
-    """Real-part blocks and the kept-block of the inverse of the real part."""
-    T_t = blocks.T.real
-    R_t = blocks.R.real
-    C_t = blocks.C.real
-    full_real = np.block([[T_t, C_t], [C_t.T, R_t]])
-    P_t = np.linalg.inv(full_real)[blocks.n:, blocks.n:]
-    return T_t, C_t, R_t, P_t
+    """Real-part blocks and the kept block of the inverse of the real part."""
+    return blocks.T.real, blocks.C.real, blocks.R.real, blocks.P_tilde
 
 
 def reduce(blocks: BlockPartition) -> ReducedGaussianState:
@@ -209,14 +226,7 @@ def purity(blocks: BlockPartition) -> float:
     ld_p = logdet_pd(P_t)
     log_p1 = -ld_p - 0.5 * (logdet_pd(g_minus) + logdet_pd(g_plus))
     Z = blocks.C.imag
-    log_p2 = -0.5 * (ld_p + logdet_pd(R_t + Z.T @ T_t_inv @ Z))
-    if abs(log_p1 - log_p2) > _PURITY_AGREE_TOL:
-        raise ConsistencyError(
-            f"purity formulas disagree: {np.exp(log_p1):.12g} vs {np.exp(log_p2):.12g}")
-    val = float(np.exp(log_p1))
-    if val > 1.0 + 1e-8:
-        raise ConsistencyError(f"purity {val:.12g} exceeds 1")
-    return min(val, 1.0)
+    return _checked_purity(log_p1, -0.5 * (ld_p + logdet_pd(R_t + Z.T @ T_t_inv @ Z)))
 
 
 def det_bound(blocks: BlockPartition) -> float:
@@ -242,18 +252,12 @@ def _symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     return np.sort(np.abs(ev.imag))[1::2]
 
 
-def exact_entropy(A: np.ndarray, n: int) -> float:
-    """Von Neumann entropy of the kept part from symplectic eigenvalues.
+def _pure_covariance(A: np.ndarray) -> np.ndarray:
+    """Covariance, in (x..., p...) ordering, of the pure Gaussian state with matrix A.
 
-    Second moments of the pure Gaussian state: <xx> = (Re A)^{-1} / 2,
-    <pp> = (Re A + Im A (Re A)^{-1} Im A) / 2, symmetrized <xp> =
-    -(Re A)^{-1} Im A / 2. The full-state spectrum is checked to be 1/2
-    (purity of the global state) before the kept modes are reduced.
+    Second moments: <xx> = (Re A)^{-1} / 2, <pp> = (Re A + Im A (Re A)^{-1}
+    Im A) / 2, symmetrized <xp> = -(Re A)^{-1} Im A / 2.
     """
-    A = np.asarray(A)
-    N = A.shape[0]
-    if not (0 < n < N):
-        raise ValueError(f"cut size n={n} must satisfy 0 < n < N={N}")
     Are = A.real
     Aim = A.imag
     Are_inv = np.linalg.inv(Are)
@@ -261,17 +265,27 @@ def exact_entropy(A: np.ndarray, n: int) -> float:
     xp = -0.5 * Are_inv @ Aim
     pp = 0.5 * (Are + Aim @ Are_inv @ Aim)
     cov = np.block([[xx, xp], [xp.T, pp]])
-    cov = 0.5 * (cov + cov.T)
+    return 0.5 * (cov + cov.T)
+
+
+def exact_entropy(A: np.ndarray, n: int) -> float:
+    """Von Neumann entropy of the kept part from the symplectic eigenvalues of
+    `_pure_covariance(A)`. The full-state spectrum is checked to be 1/2 (purity
+    of the global state) before the kept modes are reduced.
+    """
+    A = np.asarray(A)
+    N = A.shape[0]
+    if not (0 < n < N):
+        raise ValueError(f"cut size n={n} must satisfy 0 < n < N={N}")
+    cov = _pure_covariance(A)
     full = _symplectic_eigenvalues(cov)
     if np.abs(full - 0.5).max() > 1e-8:
         raise ConsistencyError(
             f"global state is not pure: max |nu - 1/2| = {np.abs(full - 0.5).max():.3g}")
     if not A[:n, n:].any():
         return 0.0
-    keep = np.arange(n, N)
-    idx = np.concatenate([keep, N + keep])
-    sub = cov[np.ix_(idx, idx)]
-    nu = _symplectic_eigenvalues(sub)
+    keep = np.r_[n:N, N + n:2 * N]
+    nu = _symplectic_eigenvalues(cov[np.ix_(keep, keep)])
     if nu.min() < 0.5 - 1e-8:
         raise ConsistencyError(f"unphysical covariance: nu_min = {nu.min():.12g} < 1/2")
     return _entropy_sum(np.maximum(nu, 0.5))
@@ -365,13 +379,6 @@ def _fold(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return even, B[:r // 2, :c // 2] - flip[:r // 2, :c // 2]
 
 
-def _cholesky(M: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise ConsistencyError(f"{what} is not positive definite") from exc
-
-
 def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
     """The three dense-side columns for a cut of n, without densifying the state.
 
@@ -407,14 +414,11 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
     rows = _circulant_rows(a)
     s = rows["A"]
     cond = float(np.abs(s).sum() * np.abs(rows["inv"]).sum())
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise IllConditionedError(
-            f"matrix too ill-conditioned to partition (estimate {cond:.3g})",
-            condition_estimate=cond)
+    _check_condition(cond)
     T_t = _fold(_toeplitz(s.real[:n]))
     R_t = _fold(_toeplitz(s.real[:m]))
-    chol_t = [_cholesky(T, "real part of the traced block") for T in T_t]
-    chol_r = [_cholesky(R, "real part of the kept block") for R in R_t]
+    chol_t = [_cholesky(T, "real part of the traced block is not positive definite") for T in T_t]
+    chol_r = [_cholesky(R, "real part of the kept block is not positive definite") for R in R_t]
 
     # global purity, mode by mode: the DFT block-diagonalises the covariance
     # into the 2x2 blocks [[1, -Im a], [-Im a, |a|^2]] / (2 Lambda)
@@ -456,23 +460,17 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
         ld_r += 2.0 * float(np.sum(np.log(np.diag(L_r))))
         ld_minus += logdet_pd(schur)
         ld_plus += logdet_pd(R + Yz.T @ Yz)
-        L = _cholesky(np.block([[xx, xp], [xp, pp]]), "reduced covariance")
+        L = _cholesky(np.block([[xx, xp], [xp, pp]]),
+                      "reduced covariance is not positive definite")
         h = xx.shape[0]
         nu.append(np.linalg.eigvalsh(1j * (L.T @ np.vstack([L[h:], -L[:h]])))[h:])
 
-    log_p1 = -ld_p - 0.5 * (ld_minus + ld_plus)
-    log_p2 = -0.5 * (ld_p + ld_plus)
-    if abs(log_p1 - log_p2) > _PURITY_AGREE_TOL:
-        raise ConsistencyError(
-            f"purity formulas disagree: {np.exp(log_p1):.12g} vs {np.exp(log_p2):.12g}")
-    p = float(np.exp(log_p1))
-    if p > 1.0 + 1e-8:
-        raise ConsistencyError(f"purity {p:.12g} exceeds 1")
+    p = _checked_purity(-ld_p - 0.5 * (ld_minus + ld_plus), -0.5 * (ld_p + ld_plus))
     nu = np.concatenate(nu)
     if nu.min() < 0.5 - 1e-8:
         raise ConsistencyError(f"unphysical covariance: nu_min = {nu.min():.12g} < 1/2")
     return SymbolRecord(
         t=t, exact_entropy=_entropy_sum(np.maximum(nu, 0.5)),
-        neg_log_purity=-float(np.log(min(p, 1.0))) + 0.0,
+        neg_log_purity=-float(np.log(p)) + 0.0,
         det_bound=0.5 * (ld_p + ld_r),
         identity_residual=float(np.hypot(*residuals)), condition_estimate=cond, n=n, N=N)

@@ -232,7 +232,7 @@ def require_positive(f: TrigPolynomial, name: str = "symbol") -> None:
     ext = extrema(f)
     if ext.minimum <= 0.0 or is_critical(f):
         raise SpectralSpecError(
-            f"{name} must be strictly positive; refined minimum {ext.minimum:g} "
+            f"{name} must be strictly positive; minimum {ext.minimum:g} "
             f"at theta={ext.argmin:g}")
 
 
@@ -240,7 +240,7 @@ def require_nonnegative(f: TrigPolynomial, name: str = "symbol") -> None:
     ext = extrema(f)
     if ext.minimum < -1e-12 * max(1.0, abs(ext.maximum)):
         raise SpectralSpecError(
-            f"{name} must be non-negative; refined minimum {ext.minimum:g} "
+            f"{name} must be non-negative; minimum {ext.minimum:g} "
             f"at theta={ext.argmin:g}")
 
 

@@ -58,8 +58,6 @@ class GrowthFit:
     intercept: float
     r_squared: float
     window: tuple
-    kappa1: float | None = None
-    kappa2: float | None = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,10 +84,7 @@ def _pow2_at_least(n: int) -> int:
 
 def _cosine_coeffs_once(samples, k_max: int, grid: int) -> np.ndarray:
     """One quadrature pass: k_max+1 real Fourier coefficients (1/2pi convention)
-    of the samples on the uniform `grid`-point grid, or of a function of its
-    angles."""
-    if callable(samples):
-        samples = samples(2.0 * np.pi * np.arange(grid) / grid)
+    of the samples on the uniform `grid`-point grid."""
     vals = np.asarray(samples, dtype=float)
     if np.ptp(vals) == 0.0:
         out = np.zeros(k_max + 1)
@@ -160,8 +155,10 @@ def _stabilized_cosine_coeffs(samples_at, k_max: int) -> np.ndarray:
 
     `samples_at(grid)` gives the samples on a uniform grid. Each pass compares
     against the even-index samples of the pass before, so every grid is
-    sampled once.
+    sampled once. A grid that does not stabilize raises QuadratureError and
+    drops the module's sample table, which by then holds the largest grid.
     """
+    global _table
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
     grid = _pow2_at_least(max(_QUAD_START, 8 * (k_max + 1)))
@@ -175,6 +172,7 @@ def _stabilized_cosine_coeffs(samples_at, k_max: int) -> np.ndarray:
         if np.abs(cur - prev).max() <= _COEFF_STABLE_TOL:
             return cur
         prev = cur
+    _table = None
     raise QuadratureError(
         f"coefficients did not stabilize to {_COEFF_STABLE_TOL:g} below grid {_QUAD_CAP}")
 
@@ -198,12 +196,12 @@ def log_symbol_coeffs(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
     return _evolved_coeffs(lam, beta, t, k_max, lambda vals: -np.log(vals))
 
 
-def szego_sum(c: np.ndarray, enforce_tail: bool = True) -> float:
+def szego_sum(c: np.ndarray) -> float:
     """Entropy lower bound sum_{k>=1} k c_k^2 with a tail-negligibility check."""
     c = np.asarray(c, dtype=float)
     k = np.arange(c.size, dtype=float)
     total = float(np.sum(k[1:] * c[1:] ** 2))
-    if c.size > 1 and enforce_tail:
+    if c.size > 1:
         tail = (c.size - 1) * c[-1] ** 2
         if tail > max(_TAIL_REL * total, _TAIL_ABS):
             raise TailCriterionError(

@@ -209,16 +209,9 @@ def _reduction_family(quick: bool) -> _Family:
             worst_slack1 = min(worst_slack1, exact - nlp)
             worst_slack2 = min(worst_slack2, nlp - det)
             # purity against the independent symplectic route
-            Are = dense.real
-            Aim = dense.imag
-            Are_inv = np.linalg.inv(Are)
-            cov = np.block([[0.5 * Are_inv, -0.5 * Are_inv @ Aim],
-                            [(-0.5 * Are_inv @ Aim).T, 0.5 * (Are + Aim @ Are_inv @ Aim)]])
-            cov = 0.5 * (cov + cov.T)
-            keep = np.arange(n, N)
-            sub = cov[np.ix_(keep.tolist() + (N + keep).tolist(),
-                             keep.tolist() + (N + keep).tolist())]
-            nu = reduction._symplectic_eigenvalues(sub)
+            cov = reduction._pure_covariance(dense)
+            keep = np.r_[n:N, N + n:2 * N]
+            nu = reduction._symplectic_eigenvalues(cov[np.ix_(keep, keep)])
             worst_dual = max(worst_dual, abs(p - float(np.prod(1.0 / (2.0 * nu)))))
             # cyclic shift of the cut must not change the entropy
             shift = int(rng.integers(1, N))

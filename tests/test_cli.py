@@ -201,6 +201,28 @@ def test_critical_coupling_warns_and_emits_nan():
     assert not math.isnan(rows[1][4])   # log-spectrum bound still fine
 
 
+def test_compute_row_derives_its_nan_columns():
+    # no flag selects the columns: the chain size decides the dense ones and
+    # the coupling decides bk_bound
+    beta = TrigPolynomial([1.05, 0.05])
+    big = pipeline.compute_row(gap_family(1.5), beta, pipeline.DENSE_SIZE_LIMIT + 1, 16,
+                               2.0, None)
+    assert all(math.isnan(v) for v in (big.exact_entropy, big.neg_log_purity, big.det_bound))
+    assert big.szego_sum == szego_sum_for(gap_family(1.5), beta, 2.0)
+    assert 0.0 < big.bk_bound <= big.szego_sum
+    critical = pipeline.compute_row(gap_family(1.0), beta, 32, 16, 2.0, None)
+    assert math.isnan(critical.bk_bound)
+    assert critical.szego_sum == szego_sum_for(gap_family(1.0), beta, 2.0)
+    assert critical.exact_entropy >= critical.neg_log_purity >= critical.det_bound > 0.0
+
+
+def test_rejected_spec_names_its_minimum():
+    res = run_cli("evolve", "--lambda", "poly:1,-2")
+    assert res.returncode == 2
+    assert res.stderr == ("error: coupling spectrum (lambda) must be non-negative; "
+                          "minimum -1 at theta=0\n")
+
+
 def test_sweep_warns_like_evolve():
     res = run_cli("sweep", "--param", "c", "--values", "0.5,1.5",
                   "--steps", "2", "--t1", "1.0", "-N", "16")
@@ -235,7 +257,7 @@ def test_library_runs_without_scipy():
         "from quench_entropy import pipeline, szego\n"
         "config = pipeline.ScenarioConfig('gap:c=1.5', 'poly:1.05,0.05', N=32)\n"
         "lam, beta = config.symbols()\n"
-        "row = pipeline.compute_row(lam, beta, 32, 16, 2.0, None, True, True)\n"
+        "row = pipeline.compute_row(lam, beta, 32, 16, 2.0, None)\n"
         "assert row.bk_bound > 0.0 and row.exact_entropy > 0.0\n"
         "assert szego.spectrum_maximum(lam, beta, 2.0) > 0.0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
@@ -321,7 +343,7 @@ def test_fault_injection_breaks_purity(monkeypatch):
 def test_fault_injection_breaks_symbol_record(monkeypatch):
     # the same row passes clean; a 1 % error in the (Re A)^{-1} symbol that
     # symbol_record cuts P~ from must trip one of its kept checks
-    args = (gap_family(1.5), TrigPolynomial([1.0, 0.1]), 16, 8, 2.0, None, True, True)
+    args = (gap_family(1.5), TrigPolynomial([1.0, 0.1]), 16, 8, 2.0, None)
     pipeline.compute_row(*args)
     real_rows = reduction._circulant_rows
 

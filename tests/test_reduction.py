@@ -298,6 +298,56 @@ def test_entropy_record_fields():
     assert record.det_bound == 0.0
 
 
+def _tilde_inverting_afresh(blocks):
+    """The real-part blocks, with P~ cut from a fresh inverse of Re A."""
+    T_t, C_t, R_t = blocks.T.real, blocks.C.real, blocks.R.real
+    full_real = np.block([[T_t, C_t], [C_t.T, R_t]])
+    return T_t, C_t, R_t, np.linalg.inv(full_real)[blocks.n:, blocks.n:]
+
+
+def _dense_bits(blocks):
+    """Bits of everything reduce, purity and det_bound return for the blocks."""
+    red = reduce(blocks)
+    return [np.asarray(v).tobytes() for v in (red.gamma, red.delta, red.norm,
+                                               red.identity_residual, purity(blocks),
+                                               det_bound(blocks))]
+
+
+def test_partition_inverse_of_real_part_matches_fresh_inverse(monkeypatch):
+    # reduce, purity and det_bound read P~ from the partition; inverting Re A
+    # afresh in each of them gives the same bits
+    rng = np.random.default_rng(41)
+    cases = [_random_instance(rng, sizes=(16, 33, 64)) for _ in range(6)]
+    cases.append((LAM15, TrigPolynomial([1.0, 0.1]), 32, 3.0))
+    for lam, beta, N, t in cases:
+        for n in (1, N // 3, N // 2, N - 1):
+            blocks = partition(_dense_state(lam, beta, N, t), n)
+            fresh = _tilde_inverting_afresh(blocks)[3]
+            assert blocks.P_tilde.tobytes() == fresh.tobytes()
+            got = _dense_bits(blocks)
+            with monkeypatch.context() as m:
+                m.setattr(reduction, "_tilde", _tilde_inverting_afresh)
+                assert _dense_bits(blocks) == got
+
+
+def test_entropy_record_inverts_each_full_matrix_once(monkeypatch):
+    # partition inverts A and Re A, exact_entropy inverts Re A for the
+    # covariance; reduce, purity and det_bound invert only the smaller blocks
+    N = 32
+    dense = _dense_state(LAM15, TrigPolynomial([1.0, 0.1]), N, 3.0)
+    shapes = []
+    real_inv = np.linalg.inv
+
+    def counting(a):
+        shapes.append((a.shape, a.dtype.kind))
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    entropy_record(dense, 12, 3.0)
+    assert sorted(kind for shape, kind in shapes if shape == (N, N)) == ["c", "f", "f"]
+    assert {shape for shape, _ in shapes} == {(N, N), (12, 12), (20, 20)}
+
+
 # ---------------------------------------------------------------------------
 # symbol_record: Toeplitz blocks of the mode symbols against the dense route
 # ---------------------------------------------------------------------------
