@@ -9,7 +9,8 @@ and turned into the quantities the bound chain needs:
 where a tilde always means "block of the real part": T~, R~, C~ are blocks of
 Re A and P~ is the corresponding block of (Re A)^{-1}. All determinants are
 computed as Cholesky log-determinants; explicit determinants of these matrices
-overflow double precision long before the sizes of interest.
+overflow double precision long before the sizes of interest. Williamson spectra
+come from a covariance's Cholesky factor by one real SVD (`_williamson`).
 
 A coupling block that is exactly zero short-circuits to the analytic
 product-state answers (purity 1, every bound 0). That is an identity, not an
@@ -241,15 +242,14 @@ def det_bound(blocks: BlockPartition) -> float:
     return 0.5 * (logdet_pd(P_t) + logdet_pd(R_t))
 
 
-def _symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a (2m x 2m) covariance in (x..., p...) ordering."""
-    m = cov.shape[0] // 2
-    omega = np.zeros((2 * m, 2 * m))
-    omega[:m, m:] = np.eye(m)
-    omega[m:, :m] = -np.eye(m)
-    ev = np.linalg.eigvals(omega @ cov)
-    # spectrum is +-(i nu_j); picking every second sorted |Im| keeps one per pair
-    return np.sort(np.abs(ev.imag))[1::2]
+def _williamson(L: np.ndarray) -> np.ndarray:
+    """Williamson spectrum, ascending, of the covariance V = L L^T (2h x 2h, x-then-p).
+
+    L^T Omega L is real antisymmetric, hence normal, with the eigenvalues +-i nu_j
+    of Omega V, so its singular values are the nu_j, each twice."""
+    h = L.shape[0] // 2
+    sv = np.linalg.svd(L.T @ np.vstack([L[h:], -L[:h]]), compute_uv=False)
+    return sv[::-1][1::2]
 
 
 def _pure_covariance(A: np.ndarray) -> np.ndarray:
@@ -271,21 +271,22 @@ def _pure_covariance(A: np.ndarray) -> np.ndarray:
 def exact_entropy(A: np.ndarray, n: int) -> float:
     """Von Neumann entropy of the kept part from the symplectic eigenvalues of
     `_pure_covariance(A)`. The full-state spectrum is checked to be 1/2 (purity
-    of the global state) before the kept modes are reduced.
+    of the global state) before the kept modes are reduced; a covariance that
+    is not positive definite raises ConsistencyError.
     """
     A = np.asarray(A)
     N = A.shape[0]
     if not (0 < n < N):
         raise ValueError(f"cut size n={n} must satisfy 0 < n < N={N}")
     cov = _pure_covariance(A)
-    full = _symplectic_eigenvalues(cov)
+    full = _williamson(_cholesky(cov, "covariance of the global state is not positive definite"))
     if np.abs(full - 0.5).max() > 1e-8:
         raise ConsistencyError(
             f"global state is not pure: max |nu - 1/2| = {np.abs(full - 0.5).max():.3g}")
     if not A[:n, n:].any():
         return 0.0
     keep = np.r_[n:N, N + n:2 * N]
-    nu = _symplectic_eigenvalues(cov[np.ix_(keep, keep)])
+    nu = _williamson(_cholesky(cov[np.ix_(keep, keep)], "reduced covariance is not positive definite"))
     if nu.min() < 0.5 - 1e-8:
         raise ConsistencyError(f"unphysical covariance: nu_min = {nu.min():.12g} < 1/2")
     return _entropy_sum(np.maximum(nu, 0.5))
@@ -402,9 +403,9 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
     the Williamson spectrum is the union of the two sector spectra. The
     purity and nu_min checks are made on the combined figures.
 
-    The Williamson spectrum of a reduced covariance V = L L^T is the positive
-    half of the eigenvalues of the Hermitian i L^T Omega L, taken on the
-    smaller side of the cut.
+    The Williamson spectrum of a reduced covariance V = L L^T comes from
+    `_williamson`, the singular values of the real antisymmetric L^T Omega L,
+    taken on the smaller side of the cut.
     """
     a = np.asarray(state.mode_symbols, dtype=complex)
     N = a.shape[0]
@@ -460,10 +461,8 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
         ld_r += 2.0 * float(np.sum(np.log(np.diag(L_r))))
         ld_minus += logdet_pd(schur)
         ld_plus += logdet_pd(R + Yz.T @ Yz)
-        L = _cholesky(np.block([[xx, xp], [xp, pp]]),
-                      "reduced covariance is not positive definite")
-        h = xx.shape[0]
-        nu.append(np.linalg.eigvalsh(1j * (L.T @ np.vstack([L[h:], -L[:h]])))[h:])
+        nu.append(_williamson(_cholesky(np.block([[xx, xp], [xp, pp]]),
+                                        "reduced covariance is not positive definite")))
 
     p = _checked_purity(-ld_p - 0.5 * (ld_minus + ld_plus), -0.5 * (ld_p + ld_plus))
     nu = np.concatenate(nu)

@@ -211,7 +211,8 @@ def _reduction_family(quick: bool) -> _Family:
             # purity against the independent symplectic route
             cov = reduction._pure_covariance(dense)
             keep = np.r_[n:N, N + n:2 * N]
-            nu = reduction._symplectic_eigenvalues(cov[np.ix_(keep, keep)])
+            nu = reduction._williamson(reduction._cholesky(
+                cov[np.ix_(keep, keep)], "reduced covariance is not positive definite"))
             worst_dual = max(worst_dual, abs(p - float(np.prod(1.0 / (2.0 * nu)))))
             # cyclic shift of the cut must not change the entropy
             shift = int(rng.integers(1, N))

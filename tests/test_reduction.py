@@ -521,3 +521,118 @@ def test_symbol_record_bound_chain_property(lam, beta, N, cut, t):
     assert rec.exact_entropy >= rec.neg_log_purity - 1e-8
     assert rec.neg_log_purity >= rec.det_bound - 1e-8
     assert rec.det_bound >= -1e-12
+
+
+# ---------------------------------------------------------------------------
+# Williamson spectrum: one real SVD, against the eigvals(Omega V) oracle
+# ---------------------------------------------------------------------------
+
+def _omega_eigvals_spectrum(cov):
+    """Williamson spectrum from the general eigenvalues of Omega V, the slow oracle."""
+    h = cov.shape[0] // 2
+    omega = np.zeros((2 * h, 2 * h))
+    omega[:h, h:] = np.eye(h)
+    omega[h:, :h] = -np.eye(h)
+    ev = np.linalg.eigvals(omega @ cov)
+    # spectrum is +-(i nu_j); picking every second sorted |Im| keeps one per pair
+    return np.sort(np.abs(ev.imag))[1::2]
+
+
+def _williamson_of(cov):
+    return reduction._williamson(np.linalg.cholesky(cov))
+
+
+def _random_symplectic(rng, h, r_max):
+    """Orthogonal symplectic, squeezing by up to e^{r_max}, orthogonal symplectic."""
+    def rotation():
+        U = np.linalg.qr(rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h)))[0]
+        return np.block([[U.real, -U.imag], [U.imag, U.real]])
+    r = rng.uniform(-r_max, r_max, h)
+    return rotation() @ np.diag(np.exp(np.r_[r, -r])) @ rotation()
+
+
+def test_williamson_matches_omega_eigvals_oracle():
+    # per-side sizes 0..20: odd ones, and the empty odd sector of a k = 1 cut
+    rng = np.random.default_rng(70)
+    for h in range(21):
+        for _ in range(3):
+            M = rng.normal(size=(2 * h, 2 * h))
+            V = M @ M.T + 0.1 * np.eye(2 * h)
+            nu = _williamson_of(V)
+            ref = _omega_eigvals_spectrum(V)
+            assert nu.shape == (h,)
+            assert np.all(np.diff(nu) >= 0.0)
+            assert np.abs(nu - ref).max(initial=0.0) <= 1e-12 * ref.max(initial=1.0), h
+
+
+def test_williamson_strongly_squeezed():
+    rng = np.random.default_rng(71)
+    h = 12
+    nu = np.sort(np.r_[0.5, rng.uniform(0.5, 100.0, h - 2), 100.0])
+    S = _random_symplectic(rng, h, r_max=2.0)
+    omega = np.block([[np.zeros((h, h)), np.eye(h)], [-np.eye(h), np.zeros((h, h))]])
+    assert np.abs(S @ omega @ S.T - omega).max() <= 1e-10
+    V = S @ np.diag(np.r_[nu, nu]) @ S.T
+    V = 0.5 * (V + V.T)
+    got = _williamson_of(V)
+    assert np.abs(got - nu).max() <= 1e-9 * nu.max()
+    assert np.abs(got - _omega_eigvals_spectrum(V)).max() <= 1e-9 * nu.max()
+    # a strongly squeezed initial width on the dense route
+    N, n = 32, 16
+    dense = _dense_state(LAM15, TrigPolynomial([300.0]), N, 3.0)
+    keep = np.r_[n:N, N + n:2 * N]
+    ref = _omega_eigvals_spectrum(reduction._pure_covariance(dense)[np.ix_(keep, keep)])
+    assert ref.max() > 50.0
+    want = reduction._entropy_sum(np.maximum(ref, 0.5))
+    assert abs(exact_entropy(dense, n) - want) <= 1e-9 * want
+
+
+def test_williamson_closed_forms():
+    # product state of modes squeezed by odd powers of 2: every Cholesky entry
+    # and every x-p product is exact, so every nu is exactly 1/2
+    s = 2.0 ** np.array([1, -1, 3, -3, 5])
+    assert np.array_equal(_williamson_of(np.diag(np.r_[s / 2, 1 / (2 * s)])), np.full(5, 0.5))
+    # two-mode squeezed vacuum in (x1, x2, p1, p2): pure globally, and one
+    # mode alone is thermal with nu = cosh(2r) / 2
+    for r in (0.0, 0.3, 1.0, 2.5):
+        c, sh = np.cosh(2 * r), np.sinh(2 * r)
+        V = 0.5 * np.array([[c, sh, 0, 0], [sh, c, 0, 0], [0, 0, c, -sh], [0, 0, -sh, c]])
+        assert np.abs(_williamson_of(V) - 0.5).max() <= 1e-13 * c
+        one = _williamson_of(V[np.ix_([0, 2], [0, 2])])
+        assert one.shape == (1,) and abs(one[0] - c / 2) <= 1e-15 * c
+
+
+def test_williamson_spectra_come_from_one_real_svd(monkeypatch):
+    state = evolve(EvolutionSetup(LAM15, TrigPolynomial([1.05, 0.05]), 32), 10.0)
+    dense = densify(state)
+    kinds = []
+    real_svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        kinds.append(a.dtype.kind)
+        return real_svd(a, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigenvalue solve on a Williamson route")
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    symbol_record(state, 12)
+    assert kinds == ["f", "f"]  # one per reflection sector
+    kinds.clear()
+    exact_entropy(dense, 12)
+    assert kinds == ["f", "f"]  # global purity check, then the kept side
+
+
+_THETA16 = 2.0 * np.pi * np.arange(16) / 16
+
+
+@pytest.mark.parametrize("symbols", [-1.0 + 0.3 * np.cos(_THETA16) + 0.2j,
+                                     0.2 + np.cos(_THETA16) + 0.3j],
+                         ids=["negative", "indefinite"])
+def test_exact_entropy_rejects_non_positive_covariance(symbols):
+    dense = densify(GaussianPureState(mode_symbols=symbols, size=16, time=0.0))
+    with pytest.raises(ConsistencyError,
+                       match="covariance of the global state is not positive definite"):
+        exact_entropy(dense, 8)
