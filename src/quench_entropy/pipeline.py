@@ -6,8 +6,9 @@ cut, and a time grid. For every time point the pipeline produces one row
     t, exact_entropy, neg_log_purity, det_bound, szego_sum, bk_bound
 
 and refuses to emit a row that contradicts the bound chain: a violation beyond
-the numerical tolerances raises instead of being written. Dense columns are
-skipped (nan) above the dense size cutoff; the momentum-coefficient bound is
+the numerical tolerances raises instead of being written. Dense columns come
+from the smaller side of the cut, k = min(n, N - n) sites, and are skipped
+(nan) when k exceeds the dense cutoff; the momentum-coefficient bound is
 skipped (nan, with a warning) for critical couplings, where its derivation does
 not apply and the inequality genuinely fails at accessible times.
 """
@@ -28,7 +29,7 @@ from .spectral import (TrigPolynomial, format_spectral_spec, is_critical,
                        parse_spectral_spec, require_nonnegative, require_positive)
 
 CSV_HEADER = "t,exact_entropy,neg_log_purity,det_bound,szego_sum,bk_bound"
-DENSE_SIZE_LIMIT = 1024
+DENSE_CUT_LIMIT = 512
 _CHAIN_TOL = 1e-8
 _BK_CHAIN_TOL = 1e-9
 _RESIDUAL_TOL = 1e-9
@@ -174,18 +175,18 @@ def compute_row(lam: TrigPolynomial, beta: TrigPolynomial, N: int, n: int,
                 t: float, k_max: int | None) -> BoundRow:
     """All six columns for one time point, chain-checked before returning.
 
-    The dense columns are nan above DENSE_SIZE_LIMIT, and bk_bound is nan for a
-    critical coupling.
+    The dense columns are nan when the smaller side of the cut has more than
+    DENSE_CUT_LIMIT sites, and bk_bound is nan for a critical coupling.
     """
     gapped = not is_critical(lam)
     szego_val = szego.szego_sum_for(lam, beta, t, k_max)
     bk_val = szego.bk_bound(lam, beta, t, k_max) if gapped else float("nan")
 
-    if N <= DENSE_SIZE_LIMIT:
+    if min(n, N - n) <= DENSE_CUT_LIMIT:
         rec = reduction.symbol_record(evolve(EvolutionSetup(lam, beta, N), t), n)
         if rec.identity_residual > _RESIDUAL_TOL:
             raise ConsistencyError(
-                f"block-inverse identity residual {rec.identity_residual:.3g} at t={t}")
+                f"block-row identity residual {rec.identity_residual:.3g} at t={t}")
         exact, nlp, det = rec.exact_entropy, rec.neg_log_purity, rec.det_bound
         if exact < nlp - _CHAIN_TOL or nlp < det - _CHAIN_TOL:
             raise ConsistencyError(
@@ -216,10 +217,11 @@ def _row_args(config: ScenarioConfig) -> list:
     Warns on stderr about every column the scenario leaves nan.
     """
     lam, beta = config.symbols()
-    if config.N > DENSE_SIZE_LIMIT:
-        print(f"warning: N={config.N} exceeds the dense cutoff {DENSE_SIZE_LIMIT}; "
-              "exact_entropy, neg_log_purity and det_bound columns are nan",
-              file=sys.stderr)
+    k = min(config.cut(), config.N - config.cut())
+    if k > DENSE_CUT_LIMIT:
+        print(f"warning: the smaller side of the cut, k=min(n, N-n)={k}, exceeds the "
+              f"dense cutoff {DENSE_CUT_LIMIT}; exact_entropy, neg_log_purity and "
+              "det_bound columns are nan", file=sys.stderr)
     if is_critical(lam):
         print("warning: critical coupling (min lambda = 0); the bk_bound column is "
               "nan because the momentum-coefficient bound requires a gap",

@@ -16,15 +16,18 @@ A coupling block that is exactly zero short-circuits to the analytic
 product-state answers (purity 1, every bound 0). That is an identity, not an
 approximation, and it keeps genuinely uncoupled configurations exactly clean.
 
-`symbol_record` gives the same three columns without any N x N matrix: every
-block above is a Toeplitz matrix of a symbol built from the mode amplitudes.
-The pipeline uses it; the dense functions stay as its reference
-implementation, used by the tests and `verify`.
+`symbol_record` gives the same three columns without any N x N matrix, from
+the smaller side of the cut alone (Peschel's correlation-matrix route): the
+global state is pure, so every column is a function of the reduced covariance
+of either side, and each block of that side is a Toeplitz matrix of a symbol
+built from the mode amplitudes. The pipeline uses it; the dense functions
+stay as its reference implementation, used by the tests and `verify`.
 
 Both sides of the cut are intervals and every symbol is even, so each block
 `symbol_record` cuts commutes with the reflection J of its interval: the
-symmetric Toeplitz blocks satisfy J B J = B, and the coupling block
-J_n C J_m = C, exactly, because the circulant row is symmetrised exactly.
+symmetric Toeplitz blocks satisfy J B J = B, and a coupling block C between
+the k sites and the rest of the ring J_k C J_{N-k} = C, exactly, because its
+circulant row is symmetrised exactly.
 In the orthonormal basis (e_i +- e_{k-1-i})/sqrt(2) of each interval (the
 middle index of an odd size counts as even) every block is then the direct
 sum of an even and an odd sector, and `symbol_record` runs its linear algebra
@@ -45,9 +48,10 @@ from .spectral import CirculantMatrix
 
 _COND_LIMIT = 1e12
 _PURITY_AGREE_TOL = 1e-9
-# rows per step of the blocked forward substitution in `_solve_lower`
-_SOLVE_BLOCK = 32
 _SQRT_HALF = np.sqrt(0.5)
+_LN2 = float(np.log(2.0))
+# columns per end of the ring in each step of `_coupling_product`
+_COUPLING_CHUNK = 2048
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,16 +129,11 @@ def _check_condition(cond: float) -> None:
             condition_estimate=cond)
 
 
-def _checked_purity(log_p1: float, log_p2: float) -> float:
-    """Purity from its moment-form and phase-form logarithms, which must agree,
-    clipped to 1 after a check that it does not exceed 1 beyond rounding."""
+def _check_purity_forms(log_p1: float, log_p2: float) -> None:
+    """Two routes to ln tr rho^2 must agree within _PURITY_AGREE_TOL."""
     if abs(log_p1 - log_p2) > _PURITY_AGREE_TOL:
         raise ConsistencyError(
             f"purity formulas disagree: {np.exp(log_p1):.12g} vs {np.exp(log_p2):.12g}")
-    val = float(np.exp(log_p1))
-    if val > 1.0 + 1e-8:
-        raise ConsistencyError(f"purity {val:.12g} exceeds 1")
-    return min(val, 1.0)
 
 
 def _cholesky(M: np.ndarray, message: str) -> np.ndarray:
@@ -227,7 +226,11 @@ def purity(blocks: BlockPartition) -> float:
     ld_p = logdet_pd(P_t)
     log_p1 = -ld_p - 0.5 * (logdet_pd(g_minus) + logdet_pd(g_plus))
     Z = blocks.C.imag
-    return _checked_purity(log_p1, -0.5 * (ld_p + logdet_pd(R_t + Z.T @ T_t_inv @ Z)))
+    _check_purity_forms(log_p1, -0.5 * (ld_p + logdet_pd(R_t + Z.T @ T_t_inv @ Z)))
+    val = float(np.exp(log_p1))
+    if val > 1.0 + 1e-8:
+        raise ConsistencyError(f"purity {val:.12g} exceeds 1")
+    return min(val, 1.0)
 
 
 def det_bound(blocks: BlockPartition) -> float:
@@ -270,19 +273,15 @@ def _pure_covariance(A: np.ndarray) -> np.ndarray:
 
 def exact_entropy(A: np.ndarray, n: int) -> float:
     """Von Neumann entropy of the kept part from the symplectic eigenvalues of
-    `_pure_covariance(A)`. The full-state spectrum is checked to be 1/2 (purity
-    of the global state) before the kept modes are reduced; a covariance that
-    is not positive definite raises ConsistencyError.
-    """
+    `_pure_covariance(A)`, M diag((Re A)^{-1}, Re A) M^T / 2 with the shear
+    M = [[I, 0], [-Im A, I]]: pure by construction and positive definite exactly
+    when Re A is, so only Re A is checked, by a Cholesky (ConsistencyError)."""
     A = np.asarray(A)
     N = A.shape[0]
     if not (0 < n < N):
         raise ValueError(f"cut size n={n} must satisfy 0 < n < N={N}")
+    _cholesky(A.real, "covariance of the global state is not positive definite")
     cov = _pure_covariance(A)
-    full = _williamson(_cholesky(cov, "covariance of the global state is not positive definite"))
-    if np.abs(full - 0.5).max() > 1e-8:
-        raise ConsistencyError(
-            f"global state is not pure: max |nu - 1/2| = {np.abs(full - 0.5).max():.3g}")
     if not A[:n, n:].any():
         return 0.0
     keep = np.r_[n:N, N + n:2 * N]
@@ -312,6 +311,11 @@ def entropy_record(A: np.ndarray, n: int, t: float) -> EntropyRecord:
         n=n, N=A.shape[0])
 
 
+def _symmetrised(r: np.ndarray) -> np.ndarray:
+    """r_k <- (r_k + r_{N-k}) / 2: the row of an exactly symmetric circulant."""
+    return 0.5 * (r + np.roll(r[::-1], 1))
+
+
 def _circulant_rows(a: np.ndarray) -> dict:
     """First rows of the circulants `symbol_record` cuts its blocks from.
 
@@ -324,11 +328,11 @@ def _circulant_rows(a: np.ndarray) -> dict:
     inv_real/2).
     """
     r = np.fft.ifft(a)
-    a = 0.5 * (a + np.roll(a[::-1], 1))
+    a = _symmetrised(a)
     lam = a.real
     with np.errstate(divide="ignore", invalid="ignore"):
         return {
-            "A": 0.5 * (r + np.roll(r[::-1], 1)),
+            "A": _symmetrised(r),
             "symbols": a,
             "inv": np.fft.ifft(1.0 / a),
             "inv_real": np.fft.ifft(1.0 / lam).real,
@@ -337,30 +341,15 @@ def _circulant_rows(a: np.ndarray) -> dict:
         }
 
 
-def _toeplitz(col: np.ndarray, row: np.ndarray | None = None) -> np.ndarray:
-    """Toeplitz matrix with first column col and first row row (row[0] unused).
+def _toeplitz(col: np.ndarray) -> np.ndarray:
+    """Symmetric Toeplitz matrix with first column col.
 
-    Symmetric, with row = col, when row is omitted. Entries are copied, never
-    computed, so each block equals the matching block of the dense matrix.
+    Entries are copied, never computed, so each block equals the matching
+    block of the dense matrix.
     """
-    row = col if row is None else row
-    # row i of the result is the window vals[col.size - 1 - i:][:row.size]
-    vals = np.concatenate((col[::-1], row[1:]))
-    return np.lib.stride_tricks.sliding_window_view(vals, row.size)[::-1].copy()
-
-
-def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """L^{-1} B for a lower-triangular L, by forward substitution over row blocks.
-
-    Each step solves one small diagonal block and subtracts the rows already
-    solved with one matrix product; np.linalg.solve on all of L would spend an
-    LU factorisation on a matrix that is already triangular.
-    """
-    Y = np.empty_like(B)
-    for i in range(0, L.shape[0], _SOLVE_BLOCK):
-        rows = slice(i, i + _SOLVE_BLOCK)
-        Y[rows] = np.linalg.solve(L[rows, rows], B[rows] - L[rows, :i] @ Y[:i])
-    return Y
+    # row i of the result is the window vals[col.size - 1 - i:][:col.size]
+    vals = np.concatenate((col[::-1], col[1:]))
+    return np.lib.stride_tricks.sliding_window_view(vals, col.size)[::-1].copy()
 
 
 def _fold(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -380,46 +369,54 @@ def _fold(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return even, B[:r // 2, :c // 2] - flip[:r // 2, :c // 2]
 
 
+def _coupling_product(x: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sectors of C_x C_y^T, with C_x[i, j] = x[k + j - i] the coupling of the first k
+    sites to the other N - k in the circulant with symmetrised row x. The sum runs
+    over chunks of columns joined with their mirror images, each chunk reflection
+    symmetric itself, so memory stays O(k _COUPLING_CHUNK) however large N is."""
+    c = x.size - k
+    # views, not copies: row i of C_x is x[k - i:][:c]
+    Cx, Cy = (np.lib.stride_tricks.sliding_window_view(r, c)[k:0:-1] for r in (x, y))
+    even = odd = 0.0
+    for j0 in range(0, (c + 1) // 2, _COUPLING_CHUNK):
+        half = np.arange(j0, min(j0 + _COUPLING_CHUNK, (c + 1) // 2))
+        cols = np.unique(np.r_[half, c - 1 - half])  # an odd c's middle column once
+        (xe, xo), (ye, yo) = _fold(Cx[:, cols]), _fold(Cy[:, cols])
+        even, odd = even + xe @ ye.T, odd + xo @ yo.T
+    return even, odd
+
+
 def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
-    """The three dense-side columns for a cut of n, without densifying the state.
+    """The three dense-side columns for a cut of n, from the smaller side alone.
 
-    The state is circulant, so every block the dense route (`partition`,
-    `reduce`, `purity`, `exact_entropy`, `det_bound`) reads is a Toeplitz
-    matrix cut from the first row of a circulant, and each such row is one
-    inverse DFT of a symbol built from the mode symbols. Every check of the
-    dense route is kept, with its exception and tolerance: the 1-norm
-    condition estimate, positivity of the traced and kept real blocks,
-    agreement of the moment and phase forms of the purity, purity of the
-    global state, and nu_min >= 1/2 for the reduced state. The Schur residual
-    |P~^{-1} - (R~ - C~^T T~^{-1} C~)| is returned for the caller to judge;
-    P~ comes from the symbol 1/Lambda, so it checks that symbol's inverse
-    against the Schur complement of the blocks of Re A. An exactly zero
-    coupling block gives exactly zero columns, as on the dense route.
+    Every block the dense route reads is a Toeplitz matrix cut from the row of
+    a circulant, one inverse DFT of a symbol built from the mode symbols. Only
+    the smaller side, k = min(n, N - n) sites, is built: R~_k of Re A, P~_k of
+    (Re A)^{-1} and the reduced covariance V, with blocks xx = P~_k / 2, xp and
+    pp. With nu the Williamson spectrum of V (`_williamson`),
 
-    Every block is folded into its even and odd reflection sectors (see the
-    module docstring) and the factorisations run once per sector. A block is
-    positive definite exactly when both its sectors are; log-determinants
-    add; the Schur residual is the Frobenius norm of the two sector residuals;
-    the Williamson spectrum is the union of the two sector spectra. The
-    purity and nu_min checks are made on the combined figures.
+        exact_entropy = sum s(nu),   neg_log_purity = sum ln 2 nu,
+        det_bound = (1/2) (ln det 2 V_xx + ln det R~_k),
 
-    The Williamson spectrum of a reduced covariance V = L L^T comes from
-    `_williamson`, the singular values of the real antisymmetric L^T Omega L,
-    taken on the smaller side of the cut.
+    the last equal to the kept side's (1/2) ln det(P~ R~) by Jacobi's identity.
+    Checks, with the dense route's exceptions: the 1-norm condition estimate,
+    global purity mode by mode, positivity of R~_k and V, sum ln 2 nu against
+    (1/2) ln det 2V from V's Cholesky factor (_PURITY_AGREE_TOL) and
+    nu_min >= 1/2. The block-row residual |R~_k P~_k + C~ P~_{rest,k} - I|_F,
+    with C~ the coupling of the k sites to the rest in Re A, checks the symbol
+    1/Lambda against Re A and is returned for the caller to judge. An exactly
+    zero coupling block gives exactly zero columns, as on the dense route.
+    Each block is folded into its reflection sectors (module docstring), and
+    every factorisation and figure above is taken per sector and combined.
     """
     a = np.asarray(state.mode_symbols, dtype=complex)
     N = a.shape[0]
     if not (0 < n < N):
         raise ValueError(f"cut size n={n} must satisfy 0 < n < N={N}")
-    m = N - n
     rows = _circulant_rows(a)
     s = rows["A"]
     cond = float(np.abs(s).sum() * np.abs(rows["inv"]).sum())
     _check_condition(cond)
-    T_t = _fold(_toeplitz(s.real[:n]))
-    R_t = _fold(_toeplitz(s.real[:m]))
-    chol_t = [_cholesky(T, "real part of the traced block is not positive definite") for T in T_t]
-    chol_r = [_cholesky(R, "real part of the kept block is not positive definite") for R in R_t]
 
     # global purity, mode by mode: the DFT block-diagonalises the covariance
     # into the 2x2 blocks [[1, -Im a], [-Im a, |a|^2]] / (2 Lambda)
@@ -437,39 +434,35 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
         return SymbolRecord(t=t, exact_entropy=0.0, neg_log_purity=0.0, det_bound=0.0,
                             identity_residual=0.0, condition_estimate=cond, n=n, N=N)
 
-    # a pure global state gives both sides of the cut the same nu != 1/2, so
-    # the spectrum is read from the covariance of the smaller side
-    k = min(n, m)
-    sectors = zip(chol_t, chol_r, R_t,
-                  _fold(_toeplitz(s.real[n:0:-1], s.real[n:])),
-                  _fold(_toeplitz(s.imag[n:0:-1], s.imag[n:])),
-                  _fold(_toeplitz(rows["inv_real"][:m])),
-                  _fold(_toeplitz(0.5 * rows["inv_real"][:k])),
-                  _fold(_toeplitz(rows["xp"][:k])),
-                  _fold(_toeplitz(rows["pp"][:k])))
+    k = min(n, N - n)
+    re, p = s.real, rows["inv_real"]
+    # the coupling blocks need r_d = r_{N-d} to the bit, which the fold assumes
+    q = _symmetrised(p)
+    sectors = zip(_fold(_toeplitz(re[:k])), _fold(_toeplitz(p[:k])), _coupling_product(re, q, k),
+                  _fold(_toeplitz(rows["xp"][:k])), _fold(_toeplitz(rows["pp"][:k])))
     residuals, nu = [], []
-    ld_p = ld_r = ld_minus = ld_plus = 0.0
-    for L_t, L_r, R, X, Z, P, xx, xp, pp in sectors:
-        # C = X + iZ; with Y = L_T^{-1} C, X^T T~^{-1} X = Yx^T Yx, likewise for Z
-        Y = _solve_lower(L_t, np.hstack([X, Z]))
-        Yx, Yz = Y[:, :R.shape[0]], Y[:, R.shape[0]:]
-        schur = R - Yx.T @ Yx
-        residuals.append(np.linalg.norm(np.linalg.inv(P) - schur))
-        # moment form: 2 Re(Gamma - Delta) = R~ - X^T T~^{-1} X and
-        # 2 Re(Gamma + Delta) = R~ + Z^T T~^{-1} Z; the phase form uses the latter
-        ld_p += logdet_pd(P)
+    ld_r = ld_xx = ld_v = 0.0
+    for R, P, CY, xp, pp in sectors:
+        L_r = _cholesky(R, "real part of the smaller side's block is not positive definite")
         ld_r += 2.0 * float(np.sum(np.log(np.diag(L_r))))
-        ld_minus += logdet_pd(schur)
-        ld_plus += logdet_pd(R + Yz.T @ Yz)
-        nu.append(_williamson(_cholesky(np.block([[xx, xp], [xp, pp]]),
-                                        "reduced covariance is not positive definite")))
+        # block row of Re A (Re A)^{-1} = I, with CY = C~ P~_{rest,k}
+        residuals.append(np.linalg.norm(R @ P + CY - np.eye(R.shape[0])))
+        L = _cholesky(np.block([[0.5 * P, xp], [xp, pp]]),
+                      "reduced covariance is not positive definite")
+        # the leading block of L is the Cholesky factor of V_xx
+        log_diag = np.log(np.diag(L))
+        ld_xx += 2.0 * float(np.sum(log_diag[:R.shape[0]]))
+        ld_v += 2.0 * float(np.sum(log_diag))
+        nu.append(_williamson(L))
 
-    p = _checked_purity(-ld_p - 0.5 * (ld_minus + ld_plus), -0.5 * (ld_p + ld_plus))
     nu = np.concatenate(nu)
     if nu.min() < 0.5 - 1e-8:
         raise ConsistencyError(f"unphysical covariance: nu_min = {nu.min():.12g} < 1/2")
+    log_2nu = np.log(2.0 * nu)
+    # against (1/2) ln det 2V, with det 2V = 2^{2k} det V
+    _check_purity_forms(-float(np.sum(log_2nu)), -k * _LN2 - 0.5 * ld_v)
     return SymbolRecord(
         t=t, exact_entropy=_entropy_sum(np.maximum(nu, 0.5)),
-        neg_log_purity=-float(np.log(p)) + 0.0,
-        det_bound=0.5 * (ld_p + ld_r),
+        neg_log_purity=float(np.sum(np.maximum(log_2nu, 0.0))),
+        det_bound=0.5 * (k * _LN2 + ld_xx + ld_r),
         identity_residual=float(np.hypot(*residuals)), condition_estimate=cond, n=n, N=N)

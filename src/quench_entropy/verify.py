@@ -329,7 +329,8 @@ def _szego_family(quick: bool) -> _Family:
             dense = reduction.densify(evolution.evolve(setup, t))
             blocks = reduction.partition(dense, N // 2)
             diffs.append(abs(reduction.det_bound(blocks) - target))
-        ok = all(b < a for a, b in zip(diffs, diffs[1:]))
+        # the N = 256 gap is at rounding level, so it is bounded, not ordered
+        ok = diffs[1] < diffs[0] and (quick or diffs[2] <= 1e-12)
         return ok, "gaps " + ", ".join(f"{d:.3g}" for d in diffs)
     fam.run("finite_size_convergence", purity_extends_szego)
     return fam

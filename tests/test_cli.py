@@ -202,12 +202,16 @@ def test_critical_coupling_warns_and_emits_nan():
 
 
 def test_compute_row_derives_its_nan_columns():
-    # no flag selects the columns: the chain size decides the dense ones and
-    # the coupling decides bk_bound
+    # no flag selects the columns: the smaller side of the cut decides the
+    # dense ones and the coupling decides bk_bound
     beta = TrigPolynomial([1.05, 0.05])
-    big = pipeline.compute_row(gap_family(1.5), beta, pipeline.DENSE_SIZE_LIMIT + 1, 16,
-                               2.0, None)
+    N = 2 * pipeline.DENSE_CUT_LIMIT + 2
+    big = pipeline.compute_row(gap_family(1.5), beta, N, N // 2, 2.0, None)
     assert all(math.isnan(v) for v in (big.exact_entropy, big.neg_log_purity, big.det_bound))
+    small_cut = pipeline.compute_row(gap_family(1.5), beta, N, 16, 2.0, None)
+    assert small_cut.exact_entropy >= small_cut.neg_log_purity >= small_cut.det_bound > 0.0
+    edge = pipeline.compute_row(gap_family(1.5), beta, N, N - pipeline.DENSE_CUT_LIMIT, 2.0, None)
+    assert not math.isnan(edge.det_bound)
     assert big.szego_sum == szego_sum_for(gap_family(1.5), beta, 2.0)
     assert 0.0 < big.bk_bound <= big.szego_sum
     critical = pipeline.compute_row(gap_family(1.0), beta, 32, 16, 2.0, None)
@@ -236,6 +240,17 @@ def test_sweep_warns_like_evolve():
     assert "exceeds the dense cutoff" in res.stderr
     _, rows = parse_csv(res.stdout)
     assert not math.isnan(rows[1][2]) and math.isnan(rows[3][2])
+
+
+def test_small_cut_of_large_ring_gets_dense_columns():
+    res = run_cli("evolve", "--lambda", "gap:c=1.5", "-N", "65536", "-n", "32",
+                  "--t1", "5", "--steps", "3")
+    assert res.returncode == 0, res.stderr
+    assert "dense cutoff" not in res.stderr
+    _, rows = parse_csv(res.stdout)
+    assert rows[0][1:4] == [0.0, 0.0, 0.0]
+    for t, exact, nlp, det, _, _ in rows[1:]:
+        assert exact >= nlp - 1e-8 and nlp >= det - 1e-8 and det > 0.0, t
 
 
 def test_verify_quick_subprocess():

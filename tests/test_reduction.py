@@ -21,7 +21,7 @@ from quench_entropy import (ConsistencyError, EvolutionSetup,
                             evolve, exact_entropy, gap_family, partition,
                             purity, reduce, symbol_record)
 from quench_entropy import reduction
-from quench_entropy.reduction import _fold, _solve_lower, _toeplitz, logdet_pd
+from quench_entropy.reduction import _fold, _toeplitz, logdet_pd
 
 LAM15 = gap_family(1.5)
 FLAT = TrigPolynomial([1.0])
@@ -86,32 +86,29 @@ def test_densify_matches_scipy_circulant():
 
 
 def test_toeplitz_matches_scipy():
-    # the blocks symbol_record cuts: square symmetric ones and the n x (N - n)
-    # coupling block, from real and complex rows
+    # the square symmetric blocks symbol_record cuts
     linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(43)
-    N, n = 13, 5
-    for s in (rng.normal(size=N), rng.normal(size=N) + 1j * rng.normal(size=N)):
-        block = _toeplitz(s[n:0:-1], s[n:])
-        assert block.shape == (n, N - n)
-        assert np.array_equal(block, linalg.toeplitz(s[n:0:-1], s[n:]))
-        assert np.array_equal(_toeplitz(s[:n], s[:n]), linalg.toeplitz(s[:n], s[:n]))
-        assert block.dtype == s.dtype
-    assert np.array_equal(_toeplitz(s.real[:n]), linalg.toeplitz(s.real[:n]))
-    assert np.array_equal(_toeplitz(s.real[:1]), linalg.toeplitz(s.real[:1]))
+    for n in (1, 2, 5, 8):
+        col = rng.normal(size=n)
+        assert np.array_equal(_toeplitz(col), linalg.toeplitz(col))
 
 
-def test_solve_lower_matches_scipy_solve_triangular():
-    # sizes below, at and across the substitution's block boundary
+@pytest.mark.parametrize("chunk", [1, 2, 3, 2048])
+def test_coupling_product_matches_folded_dense_product(chunk, monkeypatch):
+    # C_x C_y^T over the rest of the ring, in mirrored column chunks (even and
+    # odd rest sizes, so a middle column falls in a chunk of its own or not),
+    # against the fold of the product of the whole scipy Toeplitz blocks
     linalg = pytest.importorskip("scipy.linalg")
-    rng = np.random.default_rng(45)
-    for n in (1, 5, 32, 33, 70):
-        A = rng.normal(size=(n, n))
-        L = np.linalg.cholesky(A @ A.T + n * np.eye(n))
-        B = rng.normal(size=(n, 2 * n + 3))
-        got = _solve_lower(L, B)
-        ref = linalg.solve_triangular(L, B, lower=True)
-        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), n
+    monkeypatch.setattr(reduction, "_COUPLING_CHUNK", chunk)
+    rng = np.random.default_rng(44)
+    for N, k in ((13, 5), (14, 5), (12, 6), (9, 1), (2, 1), (21, 4)):
+        x, y = (reduction._symmetrised(rng.normal(size=N)) for _ in range(2))
+        Cx, Cy = (linalg.toeplitz(r[k:0:-1], r[k:]) for r in (x, y))
+        assert np.array_equal(Cx, x[k + np.arange(N - k) - np.arange(k)[:, None]])
+        for got, want in zip(reduction._coupling_product(x, y, k), _fold(Cx @ Cy.T)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max(initial=0.0) <= 1e-13 * np.abs(Cx).max() * N, (N, k)
 
 
 def test_densify_preserves_mode_spectrum():
@@ -352,8 +349,7 @@ def test_entropy_record_inverts_each_full_matrix_once(monkeypatch):
 # symbol_record: Toeplitz blocks of the mode symbols against the dense route
 # ---------------------------------------------------------------------------
 
-RECORD_FIELDS = ("exact_entropy", "neg_log_purity", "det_bound",
-                 "identity_residual", "condition_estimate")
+RECORD_FIELDS = ("exact_entropy", "neg_log_purity", "det_bound", "condition_estimate")
 
 
 def _dense_record(state, n):
@@ -377,6 +373,10 @@ def _assert_matches_dense(lam, beta, N, n, t):
         got = getattr(rec, field)
         assert abs(got - ref[field]) <= 1e-10 + 1e-9 * abs(ref[field]), \
             (field, got, ref[field], lam.coeffs, beta.coeffs, N, n, t)
+    # the dense Schur residual and symbol_record's block-row residual measure
+    # different identities; each must hold on its own
+    assert ref["identity_residual"] <= 1e-9
+    assert rec.identity_residual <= 1e-9
     return rec
 
 
@@ -396,6 +396,14 @@ def test_symbol_record_matches_dense_random_instances():
     (LAM15, TrigPolynomial([1.5, -1.0]), 32, 16, 4.0),
     # t = 0 with a non-flat width: a real state, where the det bound is tight
     (TrigPolynomial([2.25]), TrigPolynomial([1.0, 0.2]), 16, 8, 0.0),
+    # odd N, n = 1 and n = N - 1: symbol_record reads the smaller side, the
+    # dense route the kept one, so a small n meets it only by Jacobi's identity
+    (LAM15, TrigPolynomial([1.05, 0.05, -0.02]), 33, 1, 2.0),
+    (LAM15, TrigPolynomial([1.05, 0.05, -0.02]), 33, 32, 20.0),
+    (LAM15, TrigPolynomial([1.05, 0.05, -0.02]), 33, 5, 0.0),
+    (LAM15, TrigPolynomial([1.05, 0.05, -0.02]), 33, 28, 2.0),
+    (LAM15, TrigPolynomial([1.05, 0.05, -0.02]), 65, 32, 20.0),
+    (LAM15, TrigPolynomial([1.05, 0.05, -0.02]), 65, 33, 2.0),
 ])
 def test_symbol_record_matches_dense_edges(lam, beta, N, n, t):
     _assert_matches_dense(lam, beta, N, n, t)
@@ -444,7 +452,7 @@ def test_symbol_record_blocks_reflection_symmetric(N, monkeypatch):
     for n in range(1, N):
         cut.clear()
         symbol_record(state, n)
-        assert len(cut) == 8  # T~, R~, X, Z, P~ and the three covariance blocks
+        assert len(cut) == 6  # R~, P~, both couplings, and the xp and pp blocks
         for B in cut:
             assert np.array_equal(B, B[::-1, ::-1]), (N, n, B.shape)
 
@@ -499,6 +507,39 @@ def test_symbol_record_edge_cuts_agree_at_512():
     first, last = symbol_record(state, 1), symbol_record(state, 511)
     assert first.exact_entropy > 0.0
     assert abs(first.exact_entropy - last.exact_entropy) <= 1e-12
+
+
+def test_symbol_record_small_cut_independent_of_ring_size():
+    # at t = 2 the light cone of a 32-site cut is far from wrapping a ring of
+    # 4096 sites, so doubling the ring moves the columns only by rounding
+    beta = TrigPolynomial([1.05, 0.05])
+    small, large = (symbol_record(evolve(EvolutionSetup(LAM15, beta, N), 2.0), 32)
+                    for N in (4096, 8192))
+    for field in ("exact_entropy", "neg_log_purity", "det_bound"):
+        assert abs(getattr(small, field) - getattr(large, field)) <= 1e-12, field
+    assert small.exact_entropy > small.neg_log_purity > small.det_bound > 0.0
+    assert max(small.identity_residual, large.identity_residual) <= 1e-9
+
+
+def test_symbol_record_neg_log_purity_never_negative():
+    # a nearly uncoupled state: some nu fall a rounding step below 1/2, and
+    # the emitted -ln purity stays >= 0, as the dense route's clipped purity does
+    theta = 2.0 * np.pi * np.arange(32) / 32
+    state = GaussianPureState(mode_symbols=1.0 + 1e-7 * np.cos(theta), size=32, time=0.0)
+    for n in range(1, 32):
+        rec = symbol_record(state, n)
+        assert 0.0 <= rec.neg_log_purity <= 1e-14
+        assert rec.exact_entropy >= rec.neg_log_purity - 1e-8 >= rec.det_bound - 2e-8
+
+
+def test_symbol_record_purity_forms_must_agree(monkeypatch):
+    # sum ln 2 nu from the SVD is checked against (1/2) ln det 2V from the Cholesky
+    state = evolve(EvolutionSetup(LAM15, TrigPolynomial([1.05, 0.05]), 32), 3.0)
+    symbol_record(state, 12)
+    real_williamson = reduction._williamson
+    monkeypatch.setattr(reduction, "_williamson", lambda L: 1.0001 * real_williamson(L))
+    with pytest.raises(ConsistencyError, match="purity formulas disagree"):
+        symbol_record(state, 12)
 
 
 @st.composite
@@ -622,7 +663,7 @@ def test_williamson_spectra_come_from_one_real_svd(monkeypatch):
     assert kinds == ["f", "f"]  # one per reflection sector
     kinds.clear()
     exact_entropy(dense, 12)
-    assert kinds == ["f", "f"]  # global purity check, then the kept side
+    assert kinds == ["f"]  # the kept side; global purity is a Cholesky of Re A
 
 
 _THETA16 = 2.0 * np.pi * np.arange(16) / 16
@@ -636,3 +677,29 @@ def test_exact_entropy_rejects_non_positive_covariance(symbols):
     with pytest.raises(ConsistencyError,
                        match="covariance of the global state is not positive definite"):
         exact_entropy(dense, 8)
+
+
+def test_exact_entropy_checks_global_state_by_cholesky_of_re_a(monkeypatch):
+    # a general complex symmetric A, not a circulant: the global check is one
+    # Cholesky of Re A, and a Re A with one negative eigenvalue raises
+    rng = np.random.default_rng(72)
+    N, n = 12, 5
+    M = rng.normal(size=(N, N))
+    w, U = np.linalg.eigh(M @ M.T + 0.5 * np.eye(N))
+    im = rng.normal(size=(N, N))
+    im = 0.3 * (im + im.T)
+    good = U @ np.diag(w) @ U.T + 1j * im
+    shapes = []
+    real_cholesky = np.linalg.cholesky
+
+    def counting(a):
+        shapes.append(a.shape)
+        return real_cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    assert exact_entropy(good, n) > 0.0
+    assert shapes == [(N, N), (2 * (N - n), 2 * (N - n))]
+    w[0] = -0.1
+    with pytest.raises(ConsistencyError,
+                       match="covariance of the global state is not positive definite"):
+        exact_entropy(U @ np.diag(w) @ U.T + 1j * im, n)
