@@ -15,7 +15,6 @@ not apply and the inequality genuinely fails at accessible times.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import json
 import sys
@@ -206,6 +205,8 @@ def compute_row(lam: TrigPolynomial, beta: TrigPolynomial, N: int, n: int,
 def _map_rows(fn, arglist: list, jobs: int) -> list:
     """fn(*args) for each args tuple, in order; in a process pool when jobs > 1."""
     if jobs > 1 and len(arglist) > 1:
+        import concurrent.futures  # imported here: with logging, a few ms of every start-up
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, *zip(*arglist)))
     return [fn(*args) for args in arglist]

@@ -10,7 +10,9 @@ where a tilde always means "block of the real part": T~, R~, C~ are blocks of
 Re A and P~ is the corresponding block of (Re A)^{-1}. All determinants are
 computed as Cholesky log-determinants; explicit determinants of these matrices
 overflow double precision long before the sizes of interest. Williamson spectra
-come from a covariance's Cholesky factor by one real SVD (`_williamson`).
+come from a covariance's Cholesky factor L by one real symmetric eigensolve of
+K^T K, K = L^T Omega L, assembled from half-size blocks, and a second one, of
+K^{-T} K^{-1}, for the small end of a wide spectrum (`_williamson`).
 
 A coupling block that is exactly zero short-circuits to the analytic
 product-state answers (purity 1, every bound 0). That is an identity, not an
@@ -245,47 +247,75 @@ def det_bound(blocks: BlockPartition) -> float:
     return 0.5 * (logdet_pd(P_t) + logdet_pd(R_t))
 
 
+def _block_eigvalsh(top: np.ndarray, lower: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric [[top, lower^T], [lower, bottom]] from
+    one real `eigvalsh`, which reads the lower triangle only."""
+    h = top.shape[0]
+    S = np.zeros((2 * h, 2 * h))
+    S[:h, :h], S[h:, :h], S[h:, h:] = top, lower, bottom
+    return np.linalg.eigvalsh(S)
+
+
 def _williamson(L: np.ndarray) -> np.ndarray:
     """Williamson spectrum, ascending, of the covariance V = L L^T (2h x 2h, x-then-p).
 
-    L^T Omega L is real antisymmetric, hence normal, with the eigenvalues +-i nu_j
-    of Omega V, so its singular values are the nu_j, each twice."""
+    K = L^T Omega L is real antisymmetric with the eigenvalues +-i nu_j of Omega V,
+    so K^T K = -K^2 has every nu_j^2 twice. With L = [[L11, 0], [L21, L22]] (h x h
+    blocks), G = L11^T L21, W = G - G^T and M = L11^T L22, K = [[W, M], [-M^T, 0]].
+
+    Squaring gives nu_j a relative error of about eps (nu_max / nu_j)^2, against
+    eps nu_max / nu_j from an SVD of K. When nu_max > 2 nu_min, the nu_j with
+    nu_j^2 < nu_max nu_min come instead from the largest eigenvalues 1 / nu_j^2 of
+    K^{-T} K^{-1}, with K^{-1} = [[0, -N^T], [N, N W N^T]], N = M^{-1}: every nu_j
+    is then within about eps nu_max / nu_min, as from the SVD."""
     h = L.shape[0] // 2
-    sv = np.linalg.svd(L.T @ np.vstack([L[h:], -L[:h]]), compute_uv=False)
-    return sv[::-1][1::2]
+    G = L[:h, :h].T @ L[h:, :h]
+    W = G - G.T
+    M = L[:h, :h].T @ L[h:, h:]
+    nu = np.sqrt(np.maximum(_block_eigvalsh(W.T @ W + M @ M.T, M.T @ W, M.T @ M)[1::2], 0.0))
+    if h == 0 or nu[-1] <= 2.0 * nu[0]:
+        return nu
+    N = np.linalg.inv(M)
+    Z = N @ W @ N.T
+    inv_sq = _block_eigvalsh(N.T @ N, Z.T @ N, N @ N.T + Z.T @ Z)[::-1][1::2]
+    small = int(np.count_nonzero(nu * nu < nu[-1] * nu[0]))
+    nu[:small] = 1.0 / np.sqrt(inv_sq[:small])
+    return np.sort(nu)
 
 
-def _pure_covariance(A: np.ndarray) -> np.ndarray:
-    """Covariance, in (x..., p...) ordering, of the pure Gaussian state with matrix A.
+def _kept_covariance(A: np.ndarray, n: int) -> np.ndarray:
+    """Covariance, in (x..., p...) ordering, of the kept sites n..N-1 of the pure
+    Gaussian state with matrix A, whose Re A is checked by a Cholesky
+    (ConsistencyError).
 
     Second moments: <xx> = (Re A)^{-1} / 2, <pp> = (Re A + Im A (Re A)^{-1}
-    Im A) / 2, symmetrized <xp> = -(Re A)^{-1} Im A / 2.
+    Im A) / 2, symmetrized <xp> = -(Re A)^{-1} Im A / 2. Only the kept rows and
+    columns are built, as products with S = (Re A)^{-1} Im A[:, keep].
     """
-    Are = A.real
-    Aim = A.imag
+    Are, Aim = A.real, A.imag
+    _cholesky(Are, "covariance of the global state is not positive definite")
     Are_inv = np.linalg.inv(Are)
-    xx = 0.5 * Are_inv
-    xp = -0.5 * Are_inv @ Aim
-    pp = 0.5 * (Are + Aim @ Are_inv @ Aim)
-    cov = np.block([[xx, xp], [xp.T, pp]])
+    Z = Aim[:, n:]
+    S = Are_inv @ Z
+    xp = -0.5 * S[n:]
+    cov = np.block([[0.5 * Are_inv[n:, n:], xp], [xp.T, 0.5 * (Are[n:, n:] + Z.T @ S)]])
     return 0.5 * (cov + cov.T)
 
 
 def exact_entropy(A: np.ndarray, n: int) -> float:
     """Von Neumann entropy of the kept part from the symplectic eigenvalues of
-    `_pure_covariance(A)`, M diag((Re A)^{-1}, Re A) M^T / 2 with the shear
-    M = [[I, 0], [-Im A, I]]: pure by construction and positive definite exactly
-    when Re A is, so only Re A is checked, by a Cholesky (ConsistencyError)."""
+    `_kept_covariance(A, n)`, a block of M diag((Re A)^{-1}, Re A) M^T / 2 with
+    the shear M = [[I, 0], [-Im A, I]]: the global state is pure by construction
+    and positive definite exactly when Re A is, so only Re A is checked, by a
+    Cholesky (ConsistencyError)."""
     A = np.asarray(A)
     N = A.shape[0]
     if not (0 < n < N):
         raise ValueError(f"cut size n={n} must satisfy 0 < n < N={N}")
-    _cholesky(A.real, "covariance of the global state is not positive definite")
-    cov = _pure_covariance(A)
+    cov = _kept_covariance(A, n)
     if not A[:n, n:].any():
         return 0.0
-    keep = np.r_[n:N, N + n:2 * N]
-    nu = _williamson(_cholesky(cov[np.ix_(keep, keep)], "reduced covariance is not positive definite"))
+    nu = _williamson(_cholesky(cov, "reduced covariance is not positive definite"))
     if nu.min() < 0.5 - 1e-8:
         raise ConsistencyError(f"unphysical covariance: nu_min = {nu.min():.12g} < 1/2")
     return _entropy_sum(np.maximum(nu, 0.5))
@@ -380,7 +410,8 @@ def _coupling_product(x: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray,
     even = odd = 0.0
     for j0 in range(0, (c + 1) // 2, _COUPLING_CHUNK):
         half = np.arange(j0, min(j0 + _COUPLING_CHUNK, (c + 1) // 2))
-        cols = np.unique(np.r_[half, c - 1 - half])  # an odd c's middle column once
+        mirror = c - 1 - half
+        cols = np.r_[half, mirror[mirror > half[-1]][::-1]]  # an odd c's middle column once
         (xe, xo), (ye, yo) = _fold(Cx[:, cols]), _fold(Cy[:, cols])
         even, odd = even + xe @ ye.T, odd + xo @ yo.T
     return even, odd

@@ -209,10 +209,8 @@ def _reduction_family(quick: bool) -> _Family:
             worst_slack1 = min(worst_slack1, exact - nlp)
             worst_slack2 = min(worst_slack2, nlp - det)
             # purity against the independent symplectic route
-            cov = reduction._pure_covariance(dense)
-            keep = np.r_[n:N, N + n:2 * N]
             nu = reduction._williamson(reduction._cholesky(
-                cov[np.ix_(keep, keep)], "reduced covariance is not positive definite"))
+                reduction._kept_covariance(dense, n), "reduced covariance is not positive definite"))
             worst_dual = max(worst_dual, abs(p - float(np.prod(1.0 / (2.0 * nu)))))
             # cyclic shift of the cut must not change the entropy
             shift = int(rng.integers(1, N))

@@ -282,6 +282,21 @@ def test_library_runs_without_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_serial_run_loads_neither_numpy_ma_nor_concurrent_futures():
+    # both cost start-up time; the process pool is imported only for --jobs > 1
+    code = (
+        "import contextlib, io, sys\n"
+        "from quench_entropy import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['evolve', '--lambda', 'gap:c=1.5', '--beta', 'poly:1.05,0.05',\n"
+        "                     '-N', '64', '--steps', '3', '--jobs', '1']) == 0\n"
+        "print(sorted(m for m in ('numpy.ma', 'concurrent.futures') if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=_CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_row_args_adds_no_scan(monkeypatch):
     # the config keeps the symbols it validated, so building the rows reuses
     # their extrema instead of parsing and scanning both specs again

@@ -533,7 +533,7 @@ def test_symbol_record_neg_log_purity_never_negative():
 
 
 def test_symbol_record_purity_forms_must_agree(monkeypatch):
-    # sum ln 2 nu from the SVD is checked against (1/2) ln det 2V from the Cholesky
+    # sum ln 2 nu from the eigensolve is checked against (1/2) ln det 2V from the Cholesky
     state = evolve(EvolutionSetup(LAM15, TrigPolynomial([1.05, 0.05]), 32), 3.0)
     symbol_record(state, 12)
     real_williamson = reduction._williamson
@@ -565,7 +565,7 @@ def test_symbol_record_bound_chain_property(lam, beta, N, cut, t):
 
 
 # ---------------------------------------------------------------------------
-# Williamson spectrum: one real SVD, against the eigvals(Omega V) oracle
+# Williamson spectrum: one real eigvalsh, against the SVD and eigvals(Omega V) oracles
 # ---------------------------------------------------------------------------
 
 def _omega_eigvals_spectrum(cov):
@@ -577,6 +577,24 @@ def _omega_eigvals_spectrum(cov):
     ev = np.linalg.eigvals(omega @ cov)
     # spectrum is +-(i nu_j); picking every second sorted |Im| keeps one per pair
     return np.sort(np.abs(ev.imag))[1::2]
+
+
+def _svd_williamson(L):
+    """Williamson spectrum of V = L L^T from the singular values of L^T Omega L,
+    each nu appearing twice: the library's earlier kernel, kept as an oracle."""
+    h = L.shape[0] // 2
+    sv = np.linalg.svd(L.T @ np.vstack([L[h:], -L[:h]]), compute_uv=False)
+    return sv[::-1][1::2]
+
+
+def _pure_covariance(A):
+    """The whole 2N x 2N covariance of the pure state with matrix A, the oracle
+    of `reduction._kept_covariance`."""
+    Are, Aim = A.real, A.imag
+    Are_inv = np.linalg.inv(Are)
+    xp = -0.5 * Are_inv @ Aim
+    cov = np.block([[0.5 * Are_inv, xp], [xp.T, 0.5 * (Are + Aim @ Are_inv @ Aim)]])
+    return 0.5 * (cov + cov.T)
 
 
 def _williamson_of(cov):
@@ -604,28 +622,80 @@ def test_williamson_matches_omega_eigvals_oracle():
             assert nu.shape == (h,)
             assert np.all(np.diff(nu) >= 0.0)
             assert np.abs(nu - ref).max(initial=0.0) <= 1e-12 * ref.max(initial=1.0), h
+            svd = _svd_williamson(np.linalg.cholesky(V))
+            assert np.abs(svd - ref).max(initial=0.0) <= 1e-12 * ref.max(initial=1.0), h
 
 
 def test_williamson_strongly_squeezed():
-    rng = np.random.default_rng(71)
-    h = 12
-    nu = np.sort(np.r_[0.5, rng.uniform(0.5, 100.0, h - 2), 100.0])
-    S = _random_symplectic(rng, h, r_max=2.0)
-    omega = np.block([[np.zeros((h, h)), np.eye(h)], [-np.eye(h), np.zeros((h, h))]])
-    assert np.abs(S @ omega @ S.T - omega).max() <= 1e-10
-    V = S @ np.diag(np.r_[nu, nu]) @ S.T
-    V = 0.5 * (V + V.T)
-    got = _williamson_of(V)
-    assert np.abs(got - nu).max() <= 1e-9 * nu.max()
-    assert np.abs(got - _omega_eigvals_spectrum(V)).max() <= 1e-9 * nu.max()
+    # h = 64 is the sector size of a half cut of N = 256
+    for h, seed in ((12, 71), (64, 73)):
+        rng = np.random.default_rng(seed)
+        nu = np.sort(np.r_[0.5, rng.uniform(0.5, 100.0, h - 2), 100.0])
+        S = _random_symplectic(rng, h, r_max=2.0)
+        omega = np.block([[np.zeros((h, h)), np.eye(h)], [-np.eye(h), np.zeros((h, h))]])
+        assert np.abs(S @ omega @ S.T - omega).max() <= 1e-10
+        V = S @ np.diag(np.r_[nu, nu]) @ S.T
+        V = 0.5 * (V + V.T)
+        L = np.linalg.cholesky(V)
+        got = reduction._williamson(L)
+        assert np.abs(got - nu).max() <= 1e-9 * nu.max()
+        assert np.abs(got - _omega_eigvals_spectrum(V)).max() <= 1e-9 * nu.max()
+        assert np.abs(got - _svd_williamson(L)).max() <= 1e-9 * nu.max()
     # a strongly squeezed initial width on the dense route
     N, n = 32, 16
     dense = _dense_state(LAM15, TrigPolynomial([300.0]), N, 3.0)
     keep = np.r_[n:N, N + n:2 * N]
-    ref = _omega_eigvals_spectrum(reduction._pure_covariance(dense)[np.ix_(keep, keep)])
+    ref = _omega_eigvals_spectrum(_pure_covariance(dense)[np.ix_(keep, keep)])
     assert ref.max() > 50.0
     want = reduction._entropy_sum(np.maximum(ref, 0.5))
     assert abs(exact_entropy(dense, n) - want) <= 1e-9 * want
+
+
+def test_williamson_matches_svd_oracle_on_dense_ring_sectors(monkeypatch):
+    # the benchmark's dense-ring row: N = 512, n = 256, two sectors of h = 128
+    state = evolve(EvolutionSetup(LAM15, TrigPolynomial([1.05, 0.05]), 512), 10.0)
+    factors = []
+    real_williamson = reduction._williamson
+
+    def recording(L):
+        factors.append(L)
+        return real_williamson(L)
+
+    monkeypatch.setattr(reduction, "_williamson", recording)
+    symbol_record(state, 256)
+    assert [L.shape for L in factors] == [(256, 256), (256, 256)]
+    for L in factors:
+        got, ref = real_williamson(L), _svd_williamson(L)
+        assert np.abs(got - ref).max() <= 1e-12 * ref.max()
+
+
+def test_williamson_wide_spectrum_takes_small_end_from_inverse(monkeypatch):
+    # a strongly squeezed width at t = 50: nu_max ~ 4.6e3 against nu_min ~ 1/2. From
+    # K^T K alone the small nu carry a relative error ~ eps (nu_max / nu)^2 ~ 1e-8,
+    # which trips the purity-forms check; K^{-1} gives them the SVD's accuracy
+    state = evolve(EvolutionSetup(LAM15, TrigPolynomial([1e4]), 256), 50.0)
+    factors, shapes = [], []
+    real_williamson, real_eigvalsh = reduction._williamson, np.linalg.eigvalsh
+
+    def recording(L):
+        factors.append(L)
+        return real_williamson(L)
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real_eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(reduction, "_williamson", recording)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    rec = symbol_record(state, 128)
+    assert rec.exact_entropy > rec.neg_log_purity > rec.det_bound > 0.0
+    assert shapes == [(128, 128)] * 4  # K^T K and K^{-T} K^{-1} per sector
+    for L in factors:
+        got, ref = real_williamson(L), _svd_williamson(L)
+        assert ref.max() > 1e3 and ref.min() < 0.6
+        assert np.abs(got / ref - 1.0).max() <= 1e-10
+        # det V = prod nu^2, and the Cholesky factor gives ln det V to rounding
+        assert abs(np.log(got).sum() - np.log(np.diag(L)).sum()) <= 1e-10
 
 
 def test_williamson_closed_forms():
@@ -643,27 +713,44 @@ def test_williamson_closed_forms():
         assert one.shape == (1,) and abs(one[0] - c / 2) <= 1e-15 * c
 
 
-def test_williamson_spectra_come_from_one_real_svd(monkeypatch):
+def test_williamson_spectra_come_from_one_real_eigvalsh(monkeypatch):
     state = evolve(EvolutionSetup(LAM15, TrigPolynomial([1.05, 0.05]), 32), 10.0)
     dense = densify(state)
-    kinds = []
-    real_svd = np.linalg.svd
+    shapes = []
+    real_eigvalsh = np.linalg.eigvalsh
 
     def counting(a, *args, **kwargs):
-        kinds.append(a.dtype.kind)
-        return real_svd(a, *args, **kwargs)
+        assert a.dtype.kind == "f"
+        shapes.append(a.shape)
+        return real_eigvalsh(a, *args, **kwargs)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("eigenvalue solve on a Williamson route")
+        raise AssertionError("SVD or general eigenvalue solve on a Williamson route")
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    monkeypatch.setattr(np.linalg, "eigvals", forbidden)
-    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for name in ("svd", "eigvals", "eig", "eigh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
     symbol_record(state, 12)
-    assert kinds == ["f", "f"]  # one per reflection sector
-    kinds.clear()
+    assert shapes == [(12, 12), (12, 12)]  # one per reflection sector, h = 6
+    shapes.clear()
     exact_entropy(dense, 12)
-    assert kinds == ["f"]  # the kept side; global purity is a Cholesky of Re A
+    assert shapes == [(40, 40)]  # the kept side; global purity is a Cholesky of Re A
+
+
+@pytest.mark.parametrize("n", [1, 5, 11])
+def test_kept_covariance_matches_whole_covariance(n):
+    # a general complex symmetric A, not a circulant, and a ring's state
+    rng = np.random.default_rng(74)
+    N = 12
+    M = rng.normal(size=(N, N))
+    im = rng.normal(size=(N, N))
+    keep = np.r_[n:N, N + n:2 * N]
+    for A in (M @ M.T + 0.5 * np.eye(N) + 0.3j * (im + im.T),
+              _dense_state(LAM15, TrigPolynomial([1.05, 0.05]), N, 10.0)):
+        ref = _pure_covariance(A)[np.ix_(keep, keep)]
+        got = reduction._kept_covariance(A, n)
+        assert np.array_equal(got, got.T)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 _THETA16 = 2.0 * np.pi * np.arange(16) / 16
