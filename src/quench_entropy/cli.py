@@ -99,7 +99,7 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_figure1(args) -> int:
-    summary = pipeline.run_figure1(args.out, jobs=args.jobs or 1)
+    summary = pipeline.run_figure1(args.out, jobs=args.jobs)
     print(f"wrote {len(summary['curves'])} curves to {args.out} "
           f"in {summary['runtime_seconds']} s", file=sys.stderr)
     if not summary["ordering_ok"]:

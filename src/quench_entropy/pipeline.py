@@ -277,6 +277,8 @@ def run_figure1(out_dir: str, jobs: int = 1) -> dict:
     import os
     import time as _time
 
+    if jobs < 1:
+        raise ValueError(f"jobs={jobs} must be at least 1")
     beta = parse_spectral_spec("poly:1")
     t_grid = np.linspace(0.0, FIGURE1_T_END, FIGURE1_T_POINTS)
     t_short = np.linspace(0.0, FIGURE1_SHORT_T_MAX, 11)
@@ -330,6 +332,8 @@ def _sweep_config(base: ScenarioConfig, param: str, value: float) -> ScenarioCon
     if param == "c":
         change = {"lambda_spec": f"gap:c={value}"}
     elif param in ("N", "n"):
+        if not float(value).is_integer():
+            raise SpectralSpecError(f"sweep value {value!r} for {param} is not an integer")
         change = {param: int(value)}
     elif param == "t1":
         change = {"t1": float(value)}

@@ -25,17 +25,15 @@ of either side, and each block of that side is a Toeplitz matrix of a symbol
 built from the mode amplitudes. The pipeline uses it; the dense functions
 stay as its reference implementation, used by the tests and `verify`.
 
-Both sides of the cut are intervals and every symbol is even, so each block
-`symbol_record` cuts commutes with the reflection J of its interval: the
-symmetric Toeplitz blocks satisfy J B J = B, and a coupling block C between
-the k sites and the rest of the ring J_k C J_{N-k} = C, exactly, because its
-circulant row is symmetrised exactly.
-In the orthonormal basis (e_i +- e_{k-1-i})/sqrt(2) of each interval (the
-middle index of an odd size counts as even) every block is then the direct
-sum of an even and an odd sector, and `symbol_record` runs its linear algebra
-once per sector at half the size. The basis change is orthogonal and acts on
-x and p alike, so it is also symplectic: positivity, log-determinants,
-Frobenius norms and the Williamson spectrum all split over the two sectors.
+The smaller side is an interval and every symbol is even, so each block
+`symbol_record` cuts, a symmetric Toeplitz matrix, commutes with the
+reflection J of the interval: J B J = B. In the orthonormal basis
+(e_i +- e_{k-1-i})/sqrt(2) (the middle index of an odd size counts as even)
+every block is then the direct sum of an even and an odd sector, and
+`symbol_record` runs its linear algebra once per sector at half the size. The
+basis change is orthogonal and acts on x and p alike, so it is also
+symplectic: positivity, log-determinants and the Williamson spectrum all split
+over the two sectors.
 """
 
 from __future__ import annotations
@@ -52,8 +50,6 @@ _COND_LIMIT = 1e12
 _PURITY_AGREE_TOL = 1e-9
 _SQRT_HALF = np.sqrt(0.5)
 _LN2 = float(np.log(2.0))
-# columns per end of the ring in each step of `_coupling_product`
-_COUPLING_CHUNK = 2048
 
 
 @dataclasses.dataclass(frozen=True)
@@ -399,24 +395,6 @@ def _fold(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return even, B[:r // 2, :c // 2] - flip[:r // 2, :c // 2]
 
 
-def _coupling_product(x: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sectors of C_x C_y^T, with C_x[i, j] = x[k + j - i] the coupling of the first k
-    sites to the other N - k in the circulant with symmetrised row x. The sum runs
-    over chunks of columns joined with their mirror images, each chunk reflection
-    symmetric itself, so memory stays O(k _COUPLING_CHUNK) however large N is."""
-    c = x.size - k
-    # views, not copies: row i of C_x is x[k - i:][:c]
-    Cx, Cy = (np.lib.stride_tricks.sliding_window_view(r, c)[k:0:-1] for r in (x, y))
-    even = odd = 0.0
-    for j0 in range(0, (c + 1) // 2, _COUPLING_CHUNK):
-        half = np.arange(j0, min(j0 + _COUPLING_CHUNK, (c + 1) // 2))
-        mirror = c - 1 - half
-        cols = np.r_[half, mirror[mirror > half[-1]][::-1]]  # an odd c's middle column once
-        (xe, xo), (ye, yo) = _fold(Cx[:, cols]), _fold(Cy[:, cols])
-        even, odd = even + xe @ ye.T, odd + xo @ yo.T
-    return even, odd
-
-
 def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
     """The three dense-side columns for a cut of n, from the smaller side alone.
 
@@ -431,14 +409,14 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
 
     the last equal to the kept side's (1/2) ln det(P~ R~) by Jacobi's identity.
     Checks, with the dense route's exceptions: the 1-norm condition estimate,
-    global purity mode by mode, positivity of R~_k and V, sum ln 2 nu against
-    (1/2) ln det 2V from V's Cholesky factor (_PURITY_AGREE_TOL) and
-    nu_min >= 1/2. The block-row residual |R~_k P~_k + C~ P~_{rest,k} - I|_F,
-    with C~ the coupling of the k sites to the rest in Re A, checks the symbol
-    1/Lambda against Re A and is returned for the caller to judge. An exactly
-    zero coupling block gives exactly zero columns, as on the dense route.
-    Each block is folded into its reflection sectors (module docstring), and
-    every factorisation and figure above is taken per sector and combined.
+    Lambda > 0, positivity of R~_k and V, sum ln 2 nu against (1/2) ln det 2V
+    from V's Cholesky factor (_PURITY_AGREE_TOL) and nu_min >= 1/2. The
+    block-row residual |(Re A (Re A)^{-1} - I)[:k, :k]|_F, from one circular
+    convolution of the two rows, checks the symbol 1/Lambda against Re A and
+    is returned for the caller to judge. An exactly zero coupling block gives
+    exactly zero columns, as on the dense route. Each block is folded into
+    its reflection sectors (module docstring), and every factorisation and
+    the Williamson spectrum are taken per sector and combined.
     """
     a = np.asarray(state.mode_symbols, dtype=complex)
     N = a.shape[0]
@@ -448,17 +426,8 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
     s = rows["A"]
     cond = float(np.abs(s).sum() * np.abs(rows["inv"]).sum())
     _check_condition(cond)
-
-    # global purity, mode by mode: the DFT block-diagonalises the covariance
-    # into the 2x2 blocks [[1, -Im a], [-Im a, |a|^2]] / (2 Lambda)
-    sym = rows["symbols"]
-    lam = sym.real
-    if not (lam > 0.0).all():
+    if not (rows["symbols"].real > 0.0).all():
         raise ConsistencyError("real part of the mode symbols is not positive")
-    nu_modes = np.sqrt((np.abs(sym) ** 2 - sym.imag ** 2) / (4.0 * lam * lam))
-    worst = float(np.abs(nu_modes - 0.5).max())
-    if not worst <= 1e-8:
-        raise ConsistencyError(f"global state is not pure: max |nu - 1/2| = {worst:.3g}")
 
     t = float(state.time)
     if not s[1:].any():
@@ -467,17 +436,19 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
 
     k = min(n, N - n)
     re, p = s.real, rows["inv_real"]
-    # the coupling blocks need r_d = r_{N-d} to the bit, which the fold assumes
-    q = _symmetrised(p)
-    sectors = zip(_fold(_toeplitz(re[:k])), _fold(_toeplitz(p[:k])), _coupling_product(re, q, k),
+    # Re A (Re A)^{-1} - I is the circulant with row d; its k x k block holds
+    # d_m (d[-m] = d_{N-m}) k - |m| times
+    d = np.fft.irfft(np.fft.rfft(re) * np.fft.rfft(p), N)
+    d[0] -= 1.0
+    lag = np.arange(1 - k, k)
+    residual = float(np.sqrt(np.sum((k - np.abs(lag)) * d[lag] ** 2)))
+    sectors = zip(_fold(_toeplitz(re[:k])), _fold(_toeplitz(p[:k])),
                   _fold(_toeplitz(rows["xp"][:k])), _fold(_toeplitz(rows["pp"][:k])))
-    residuals, nu = [], []
+    nu = []
     ld_r = ld_xx = ld_v = 0.0
-    for R, P, CY, xp, pp in sectors:
+    for R, P, xp, pp in sectors:
         L_r = _cholesky(R, "real part of the smaller side's block is not positive definite")
         ld_r += 2.0 * float(np.sum(np.log(np.diag(L_r))))
-        # block row of Re A (Re A)^{-1} = I, with CY = C~ P~_{rest,k}
-        residuals.append(np.linalg.norm(R @ P + CY - np.eye(R.shape[0])))
         L = _cholesky(np.block([[0.5 * P, xp], [xp, pp]]),
                       "reduced covariance is not positive definite")
         # the leading block of L is the Cholesky factor of V_xx
@@ -496,4 +467,4 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
         t=t, exact_entropy=_entropy_sum(np.maximum(nu, 0.5)),
         neg_log_purity=float(np.sum(np.maximum(log_2nu, 0.0))),
         det_bound=0.5 * (k * _LN2 + ld_xx + ld_r),
-        identity_residual=float(np.hypot(*residuals)), condition_estimate=cond, n=n, N=N)
+        identity_residual=residual, condition_estimate=cond, n=n, N=N)

@@ -353,6 +353,25 @@ def test_sweep_keeps_config_errors():
         pipeline._sweep_config(base, "c", float("nan"))
 
 
+@pytest.mark.parametrize("param, value", [("N", "32.7"), ("n", "8.5"), ("N", "inf")])
+def test_sweep_rejects_non_integral_size(param, value, capsys):
+    # a size would otherwise be truncated while param_value keeps the fraction
+    rc = cli.main(["sweep", "--param", param, "--values", f"16,{value}",
+                   "--lambda", LAM15, "-N", "32", "--steps", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"sweep value {value} for {param} is not an integer" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_figure1_rejects_nonpositive_jobs(jobs, tmp_path, capsys):
+    out = tmp_path / "fig"
+    rc = cli.main(["figure1", "--jobs", jobs, "--out", str(out)])
+    assert rc == 2
+    assert f"jobs={jobs} must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fault_injection_breaks_purity(monkeypatch):
     real_reduce = reduction.reduce
 
@@ -368,6 +387,22 @@ def test_fault_injection_breaks_purity(monkeypatch):
     # the verification family sees the same corruption and reports it
     report = _reduction_family(True).report()
     assert report["passed"] is False
+
+
+def test_fault_injection_trips_block_row_residual(monkeypatch):
+    # a 1e-6 error in the (Re A)^{-1} symbol leaves the covariance physical and
+    # self-consistent, so only the block-row residual gate can catch it
+    args = (gap_family(1.5), TrigPolynomial([1.0, 0.1]), 16, 8, 2.0, None)
+    real_rows = reduction._circulant_rows
+
+    def corrupted(a):
+        rows = real_rows(a)
+        rows["inv_real"] = (1.0 + 1e-6) * rows["inv_real"]
+        return rows
+
+    monkeypatch.setattr(reduction, "_circulant_rows", corrupted)
+    with pytest.raises(ConsistencyError, match="block-row identity residual"):
+        pipeline.compute_row(*args)
 
 
 def test_fault_injection_breaks_symbol_record(monkeypatch):

@@ -94,21 +94,32 @@ def test_toeplitz_matches_scipy():
         assert np.array_equal(_toeplitz(col), linalg.toeplitz(col))
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 2048])
-def test_coupling_product_matches_folded_dense_product(chunk, monkeypatch):
-    # C_x C_y^T over the rest of the ring, in mirrored column chunks (even and
-    # odd rest sizes, so a middle column falls in a chunk of its own or not),
-    # against the fold of the product of the whole scipy Toeplitz blocks
-    linalg = pytest.importorskip("scipy.linalg")
-    monkeypatch.setattr(reduction, "_COUPLING_CHUNK", chunk)
-    rng = np.random.default_rng(44)
-    for N, k in ((13, 5), (14, 5), (12, 6), (9, 1), (2, 1), (21, 4)):
-        x, y = (reduction._symmetrised(rng.normal(size=N)) for _ in range(2))
-        Cx, Cy = (linalg.toeplitz(r[k:0:-1], r[k:]) for r in (x, y))
-        assert np.array_equal(Cx, x[k + np.arange(N - k) - np.arange(k)[:, None]])
-        for got, want in zip(reduction._coupling_product(x, y, k), _fold(Cx @ Cy.T)):
-            assert got.shape == want.shape
-            assert np.abs(got - want).max(initial=0.0) <= 1e-13 * np.abs(Cx).max() * N, (N, k)
+@pytest.mark.parametrize("N", [2, 9, 13, 14, 21])
+def test_block_row_residual_matches_dense_oracle(N, monkeypatch):
+    # symbol_record's residual from one circular convolution against the
+    # k x k block of the dense product of the two circulants; (Re A)^{-1}'s
+    # row gets a positive definite circulant added, so the residual is far
+    # above rounding and reaches every lag of the block
+    theta = 2.0 * np.pi * np.arange(N) / N
+    bump = np.fft.ifft(1.0 + 0.5 * np.cos(theta) + 0.3 * np.cos(2.0 * theta)).real
+    real_rows = reduction._circulant_rows
+    seen = {}
+
+    def perturbed(a):
+        rows = seen["rows"] = real_rows(a)
+        rows["inv_real"] = rows["inv_real"] + 1e-3 * bump
+        return rows
+
+    monkeypatch.setattr(reduction, "_circulant_rows", perturbed)
+    state = evolve(EvolutionSetup(LAM15, TrigPolynomial([1.0, 0.1, -0.05]), N), 3.7)
+    lag = (np.arange(N) - np.arange(N)[:, None]) % N
+    for n in sorted({1, N // 2, N - 1}):
+        rec = symbol_record(state, n)
+        k = min(n, N - n)
+        product = seen["rows"]["A"].real[lag] @ seen["rows"]["inv_real"][lag]
+        want = np.linalg.norm(product[:k, :k] - np.eye(k))
+        assert want > 1e-4
+        assert abs(rec.identity_residual - want) <= 1e-10 * want, (N, n)
 
 
 def test_densify_preserves_mode_spectrum():
@@ -452,7 +463,7 @@ def test_symbol_record_blocks_reflection_symmetric(N, monkeypatch):
     for n in range(1, N):
         cut.clear()
         symbol_record(state, n)
-        assert len(cut) == 6  # R~, P~, both couplings, and the xp and pp blocks
+        assert len(cut) == 4  # R~, P~, and the xp and pp blocks
         for B in cut:
             assert np.array_equal(B, B[::-1, ::-1]), (N, n, B.shape)
 
