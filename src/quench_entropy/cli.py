@@ -132,8 +132,7 @@ def _cmd_sweep(args) -> int:
     if args.lambda_spec is None and args.config is None and args.param == "c":
         args.lambda_spec = "gap:c=1.5"  # placeholder; every row replaces it
     config = _scenario_from_args(args)
-    text, _ = pipeline.run_sweep(config, args.param, values)
-    pipeline.write_text(text, args.out)
+    pipeline.write_text(pipeline.run_sweep(config, args.param, values), args.out)
     return EXIT_OK
 
 

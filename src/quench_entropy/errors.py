@@ -28,10 +28,6 @@ class QuadratureError(QuenchEntropyError):
 class TailCriterionError(QuenchEntropyError):
     """A coefficient sum was truncated before its tail became negligible."""
 
-    def __init__(self, message, suggested_k_max=None):
-        super().__init__(message)
-        self.suggested_k_max = suggested_k_max
-
 
 class IllConditionedError(QuenchEntropyError):
     """A dense matrix was too ill-conditioned to partition reliably."""

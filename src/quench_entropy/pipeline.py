@@ -24,8 +24,8 @@ import numpy as np
 from . import reduction, szego
 from .errors import ConsistencyError, SpectralSpecError
 from .evolution import EvolutionSetup, evolve
-from .spectral import (TrigPolynomial, format_spectral_spec, is_critical,
-                       parse_spectral_spec, require_nonnegative, require_positive)
+from .spectral import (TrigPolynomial, is_critical, parse_spectral_spec,
+                       require_nonnegative, require_positive)
 
 CSV_HEADER = "t,exact_entropy,neg_log_purity,det_bound,szego_sum,bk_bound"
 DENSE_CUT_LIMIT = 512
@@ -64,6 +64,9 @@ class ScenarioConfig:
             raise ValueError(f"cut n={cut} must satisfy 0 < n < N={self.N}")
         if self.steps < 2:
             raise ValueError(f"steps={self.steps} must be at least 2")
+        for name in ("t0", "t1"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}={getattr(self, name)} must be finite")
         if not (self.t0 < self.t1):
             raise ValueError(f"need t0 < t1, got t0={self.t0}, t1={self.t1}")
         if self.k_max is not None and self.k_max < 1:
@@ -93,14 +96,6 @@ class ScenarioConfig:
     def time_grid(self) -> np.ndarray:
         return np.linspace(self.t0, self.t1, self.steps)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": self.lambda_spec, "beta": self.beta_spec,
-            "N": self.N, "n": self.cut(), "t0": self.t0, "t1": self.t1,
-            "steps": self.steps, "kmax": self.k_max if self.k_max is not None else "auto",
-            "jobs": self.jobs,
-        }
-
 
 @dataclasses.dataclass(frozen=True)
 class BoundRow:
@@ -115,7 +110,6 @@ class BoundRow:
 @dataclasses.dataclass(frozen=True)
 class BoundSeries:
     rows: tuple
-    metadata: dict
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows], dtype=float)
@@ -158,16 +152,24 @@ def config_from_dict(d: dict) -> ScenarioConfig:
         return ScenarioConfig(
             lambda_spec=str(d["lambda"]),
             beta_spec=str(d.get("beta", "poly:1")),
-            N=int(d.get("N", 64)),
-            n=None if d.get("n") is None else int(d["n"]),
+            N=_integer("N", d.get("N", 64)),
+            n=_integer("n", d.get("n")),
             t0=float(d.get("t0", 0.0)),
             t1=float(d.get("t1", 10.0)),
-            steps=int(d.get("steps", 21)),
-            k_max=None if kmax is None else int(kmax),
-            jobs=int(d.get("jobs", 1)),
+            steps=_integer("steps", d.get("steps", 21)),
+            k_max=_integer("kmax", kmax),
+            jobs=_integer("jobs", d.get("jobs", 1)),
         )
     except (TypeError, ValueError) as exc:
         raise SpectralSpecError(f"bad config value: {exc}") from exc
+
+
+def _integer(key: str, val) -> int | None:
+    """The config value `val` of `key` as an int, None staying None;
+    SpectralSpecError for a non-integral number."""
+    if isinstance(val, float) and not val.is_integer():
+        raise SpectralSpecError(f"{key} must be an integer, got {val!r}")
+    return None if val is None else int(val)
 
 
 def compute_row(lam: TrigPolynomial, beta: TrigPolynomial, N: int, n: int,
@@ -232,8 +234,7 @@ def _row_args(config: ScenarioConfig) -> list:
 
 
 def run_series(config: ScenarioConfig) -> BoundSeries:
-    rows = _map_rows(compute_row, _row_args(config), config.jobs)
-    return BoundSeries(rows=tuple(rows), metadata={"config": config.to_json_dict()})
+    return BoundSeries(rows=tuple(_map_rows(compute_row, _row_args(config), config.jobs)))
 
 
 def _csv_text(header: str, rows) -> str:
@@ -342,12 +343,12 @@ def _sweep_config(base: ScenarioConfig, param: str, value: float) -> ScenarioCon
     return dataclasses.replace(base, **change, _reuse=base)
 
 
-def run_sweep(base: ScenarioConfig, param: str, values) -> tuple[str, list]:
-    """Concatenated series over the swept values; returns (csv_text, series list).
+def run_sweep(base: ScenarioConfig, param: str, values) -> str:
+    """CSV text of the series of every swept value, concatenated.
 
-    Each value gets a full BoundSeries; rows carry a leading param_value
-    column. Values (and their time points) are independent, so the worker
-    pool covers the whole cross product at once.
+    Rows carry a leading param_value column. Values (and their time points)
+    are independent, so the worker pool covers the whole cross product at
+    once.
     """
     if param not in SWEEP_PARAMS:
         raise ValueError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {param!r}")
@@ -357,18 +358,11 @@ def run_sweep(base: ScenarioConfig, param: str, values) -> tuple[str, list]:
     configs = [_sweep_config(base, param, v) for v in values]
 
     arglist = []
-    spans = []
-    for cfg in configs:
-        start = len(arglist)
-        arglist.extend(_row_args(cfg))
-        spans.append((start, len(arglist)))
+    keys = []
+    for value, cfg in zip(values, configs):
+        args = _row_args(cfg)
+        arglist.extend(args)
+        keys.extend([float(value)] * len(args))
     rows = _map_rows(compute_row, arglist, base.jobs)
-
-    out_series = [BoundSeries(rows=tuple(rows[lo:hi]),
-                              metadata={"config": cfg.to_json_dict(),
-                                        "param": param, "param_value": value})
-                  for value, cfg, (lo, hi) in zip(values, configs, spans)]
-    text = _csv_text("param_value," + CSV_HEADER,
-                     ((float(value), *dataclasses.astuple(r))
-                      for value, series in zip(values, out_series) for r in series.rows))
-    return text, out_series
+    return _csv_text("param_value," + CSV_HEADER,
+                     ((key, *dataclasses.astuple(r)) for key, r in zip(keys, rows)))

@@ -18,12 +18,14 @@ A coupling block that is exactly zero short-circuits to the analytic
 product-state answers (purity 1, every bound 0). That is an identity, not an
 approximation, and it keeps genuinely uncoupled configurations exactly clean.
 
-`symbol_record` gives the same three columns without any N x N matrix, from
-the smaller side of the cut alone (Peschel's correlation-matrix route): the
-global state is pure, so every column is a function of the reduced covariance
-of either side, and each block of that side is a Toeplitz matrix of a symbol
-built from the mode amplitudes. The pipeline uses it; the dense functions
-stay as its reference implementation, used by the tests and `verify`.
+`entropy_record` gathers the three columns of the dense route into a
+`SymbolRecord`. `symbol_record` returns the same record without any N x N
+matrix, from the smaller side of the cut alone (Peschel's correlation-matrix
+route): the global state is pure, so every column is a function of the reduced
+covariance of either side, and each block of that side is a Toeplitz matrix of
+a symbol built from the mode amplitudes. The pipeline and `verify` use it; the
+dense functions stay as its reference implementation, used by the tests and
+`verify`.
 
 The smaller side is an interval and every symbol is even, so each block
 `symbol_record` cuts, a symmetric Toeplitz matrix, commutes with the
@@ -54,20 +56,17 @@ _LN2 = float(np.log(2.0))
 
 @dataclasses.dataclass(frozen=True)
 class BlockPartition:
-    """Blocks of A (T, C, R) and of A^{-1} (Q, D, P) for a cut of n oscillators,
-    and P_tilde, the kept block of (Re A)^{-1}.
+    """Blocks of A (T, C, R) for a cut of n oscillators, P_tilde, the kept
+    block of (Re A)^{-1}, and the 1-norm condition estimate of A.
 
     Layout: the first n rows/columns are the traced-out part, so
 
-        A = [[T, C], [C^T, R]],    A^{-1} = [[Q, D], [D^T, P]].
+        A = [[T, C], [C^T, R]].
     """
 
     T: np.ndarray
     C: np.ndarray
     R: np.ndarray
-    Q: np.ndarray
-    D: np.ndarray
-    P: np.ndarray
     P_tilde: np.ndarray
     n: int
     condition_estimate: float
@@ -79,13 +78,16 @@ class ReducedGaussianState:
 
     gamma: np.ndarray
     delta: np.ndarray
-    norm: float
     identity_residual: float
 
 
 @dataclasses.dataclass(frozen=True)
 class SymbolRecord:
-    """Dense-side columns of one time point, with the checks' recorded figures."""
+    """Dense-side columns of one time point, with the checks' recorded figures.
+
+    `symbol_record` records its block-row residual, `entropy_record` the
+    Schur-complement residual of `reduce`.
+    """
 
     t: float
     exact_entropy: float
@@ -93,16 +95,6 @@ class SymbolRecord:
     det_bound: float
     identity_residual: float
     condition_estimate: float
-    n: int
-    N: int
-
-
-@dataclasses.dataclass(frozen=True)
-class EntropyRecord:
-    t: float
-    exact_entropy: float
-    neg_log_purity: float
-    det_bound: float
     n: int
     N: int
 
@@ -149,17 +141,15 @@ def logdet_pd(M: np.ndarray) -> float:
 
 
 def partition(A: np.ndarray, n: int) -> BlockPartition:
-    """Cut A, its numerically computed inverse and that of Re A into blocks at index n."""
+    """Cut A and the inverse of Re A into blocks at index n; A's inverse gives
+    the condition estimate."""
     A = np.asarray(A)
     N = A.shape[0]
     if A.ndim != 2 or A.shape[1] != N:
         raise ValueError("partition needs a square matrix")
     if not (0 < n < N):
         raise ValueError(f"cut size n={n} must satisfy 0 < n < N={N}")
-    Ainv = np.linalg.inv(A)
-    norm_a = np.linalg.norm(A, 1)
-    norm_i = np.linalg.norm(Ainv, 1)
-    cond = float(norm_a * norm_i)
+    cond = float(np.linalg.norm(A, 1) * np.linalg.norm(np.linalg.inv(A), 1))
     _check_condition(cond)
     # positivity of the real-part blocks is what every downstream formula needs
     for blk, name in ((A[:n, :n], "traced block"), (A[n:, n:], "kept block")):
@@ -167,43 +157,29 @@ def partition(A: np.ndarray, n: int) -> BlockPartition:
                   f"real part of the {name} is not positive definite")
     T, C, R = A[:n, :n], A[:n, n:], A[n:, n:]
     full_real = np.block([[T.real, C.real], [C.real.T, R.real]])
-    return BlockPartition(
-        T=T, C=C, R=R, Q=Ainv[:n, :n], D=Ainv[:n, n:], P=Ainv[n:, n:],
-        P_tilde=np.linalg.inv(full_real)[n:, n:], n=n, condition_estimate=cond)
-
-
-def _tilde(blocks: BlockPartition):
-    """Real-part blocks and the kept block of the inverse of the real part."""
-    return blocks.T.real, blocks.C.real, blocks.R.real, blocks.P_tilde
+    return BlockPartition(T=T, C=C, R=R, P_tilde=np.linalg.inv(full_real)[n:, n:],
+                          n=n, condition_estimate=cond)
 
 
 def reduce(blocks: BlockPartition) -> ReducedGaussianState:
-    """Reduced-state parameters Gamma, Delta, the norm, and the identity residual.
+    """Reduced-state parameters Gamma, Delta and the identity residual.
 
     Gamma = R/2 - C^T T~^{-1} C / 4 and Delta = C^T T~^{-1} C^* / 4. The
     Schur-complement identity P~^{-1} = R~ - C~^T T~^{-1} C~ is evaluated
     against the directly inverted real part and its residual is recorded,
     never assumed.
     """
-    T_t, C_t, R_t, P_t = _tilde(blocks)
-    T_t_inv = np.linalg.inv(T_t)
     C = blocks.C
     if not C.any():
         m = blocks.R.shape[0]
-        gamma = blocks.R / 2.0
-        delta = np.zeros((m, m), dtype=complex)
-        norm = float(np.exp(0.5 * logdet_pd(R_t) - 0.5 * m * np.log(np.pi)))
-        return ReducedGaussianState(gamma=gamma, delta=delta, norm=norm,
+        return ReducedGaussianState(gamma=blocks.R / 2.0, delta=np.zeros((m, m), dtype=complex),
                                     identity_residual=0.0)
+    T_t_inv = np.linalg.inv(blocks.T.real)
     gamma = blocks.R / 2.0 - C.T @ T_t_inv @ C / 4.0
     delta = C.T @ T_t_inv @ C.conj() / 4.0
-    schur = R_t - C_t.T @ T_t_inv @ C_t
-    residual = float(np.linalg.norm(np.linalg.inv(P_t) - schur))
-    m = blocks.R.shape[0]
-    # norm = sqrt(det P~^{-1}) / pi^{m/2}; via log-dets to dodge overflow
-    norm = float(np.exp(-0.5 * logdet_pd(P_t) - 0.5 * m * np.log(np.pi)))
-    return ReducedGaussianState(gamma=gamma, delta=delta, norm=norm,
-                                identity_residual=residual)
+    schur = blocks.R.real - C.real.T @ T_t_inv @ C.real
+    residual = float(np.linalg.norm(np.linalg.inv(blocks.P_tilde) - schur))
+    return ReducedGaussianState(gamma=gamma, delta=delta, identity_residual=residual)
 
 
 def purity(blocks: BlockPartition) -> float:
@@ -216,15 +192,14 @@ def purity(blocks: BlockPartition) -> float:
     """
     if not blocks.C.any():
         return 1.0
-    T_t, C_t, R_t, P_t = _tilde(blocks)
-    T_t_inv = np.linalg.inv(T_t)
+    T_t_inv = np.linalg.inv(blocks.T.real)
     red = reduce(blocks)
     g_minus = 2.0 * (red.gamma.real - red.delta.real)
     g_plus = 2.0 * (red.gamma.real + red.delta.real)
-    ld_p = logdet_pd(P_t)
+    ld_p = logdet_pd(blocks.P_tilde)
     log_p1 = -ld_p - 0.5 * (logdet_pd(g_minus) + logdet_pd(g_plus))
     Z = blocks.C.imag
-    _check_purity_forms(log_p1, -0.5 * (ld_p + logdet_pd(R_t + Z.T @ T_t_inv @ Z)))
+    _check_purity_forms(log_p1, -0.5 * (ld_p + logdet_pd(blocks.R.real + Z.T @ T_t_inv @ Z)))
     val = float(np.exp(log_p1))
     if val > 1.0 + 1e-8:
         raise ConsistencyError(f"purity {val:.12g} exceeds 1")
@@ -239,8 +214,7 @@ def det_bound(blocks: BlockPartition) -> float:
     """
     if not blocks.C.any():
         return 0.0
-    _, _, R_t, P_t = _tilde(blocks)
-    return 0.5 * (logdet_pd(P_t) + logdet_pd(R_t))
+    return 0.5 * (logdet_pd(blocks.P_tilde) + logdet_pd(blocks.R.real))
 
 
 def _block_eigvalsh(top: np.ndarray, lower: np.ndarray, bottom: np.ndarray) -> np.ndarray:
@@ -325,16 +299,16 @@ def _entropy_sum(nu: np.ndarray) -> float:
     return float(np.sum(ent))
 
 
-def entropy_record(A: np.ndarray, n: int, t: float) -> EntropyRecord:
-    """All three dense-side quantities for one time point, chain-ready."""
+def entropy_record(A: np.ndarray, n: int, t: float) -> SymbolRecord:
+    """The three dense-side columns for one time point from the dense matrix A,
+    with `reduce`'s Schur residual and `partition`'s condition estimate: the
+    reference for `symbol_record`."""
     blocks = partition(A, n)
-    p = purity(blocks)
-    return EntropyRecord(
-        t=float(t),
-        exact_entropy=exact_entropy(A, n),
-        neg_log_purity=-float(np.log(p)) + 0.0,
-        det_bound=det_bound(blocks),
-        n=n, N=A.shape[0])
+    return SymbolRecord(
+        t=float(t), exact_entropy=exact_entropy(A, n),
+        neg_log_purity=-float(np.log(purity(blocks))) + 0.0,
+        det_bound=det_bound(blocks), identity_residual=reduce(blocks).identity_residual,
+        condition_estimate=blocks.condition_estimate, n=n, N=A.shape[0])
 
 
 def _symmetrised(r: np.ndarray) -> np.ndarray:

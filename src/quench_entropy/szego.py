@@ -39,20 +39,6 @@ _PARSEVAL_BLOCK = 8
 
 
 @dataclasses.dataclass(frozen=True)
-class FourierSeries:
-    """Coefficient bundle at one time: c_k (log spectrum), b_k (inverse spectrum),
-    its static/traveling split, and the spectrum maximum M."""
-
-    c: np.ndarray
-    b: np.ndarray
-    sigma: np.ndarray | None
-    mu: np.ndarray | None
-    M: float
-    t: float
-    k_max: int
-
-
-@dataclasses.dataclass(frozen=True)
 class GrowthFit:
     slope: float
     intercept: float
@@ -206,14 +192,12 @@ def szego_sum(c: np.ndarray) -> float:
         if tail > max(_TAIL_REL * total, _TAIL_ABS):
             raise TailCriterionError(
                 f"truncation tail k_max c_kmax^2 = {tail:.3g} not negligible "
-                f"against the partial sum {total:.6g}; increase k_max",
-                suggested_k_max=2 * (c.size - 1))
+                f"against the partial sum {total:.6g}; increase k_max")
     return total
 
 
-def _resolved_sum(coeffs_at, lam: TrigPolynomial, t: float,
-                  k_max: int | None) -> tuple[np.ndarray, float]:
-    """Coefficients `coeffs_at(k)` and their tail-checked `szego_sum` at the
+def _resolved_sum(coeffs_at, lam: TrigPolynomial, t: float, k_max: int | None) -> float:
+    """The tail-checked `szego_sum` of the coefficients `coeffs_at(k)` at the
     resolved truncation k.
 
     k is k_max when given; otherwise the cone-covering default for a gapped
@@ -221,13 +205,12 @@ def _resolved_sum(coeffs_at, lam: TrigPolynomial, t: float,
     fails, up to _QUAD_CAP // 8.
     """
     if k_max is not None or not is_critical(lam):
-        coeffs = coeffs_at(default_k_max(lam, t) if k_max is None else k_max)
-        return coeffs, szego_sum(coeffs)
+        return szego_sum(coeffs_at(default_k_max(lam, t) if k_max is None else k_max))
     k = 256
     while True:
         coeffs = coeffs_at(k)
         try:
-            return coeffs, szego_sum(coeffs)
+            return szego_sum(coeffs)
         except TailCriterionError as exc:
             if 2 * k > _QUAD_CAP // 8:
                 raise QuadratureError(
@@ -242,7 +225,7 @@ def szego_sum_for(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
     Gapped couplings take the cone-covering default; critical ones grow k_max
     until the tail criterion is satisfied.
     """
-    return _resolved_sum(lambda k: log_symbol_coeffs(lam, beta, t, k), lam, t, k_max)[1]
+    return _resolved_sum(lambda k: log_symbol_coeffs(lam, beta, t, k), lam, t, k_max)
 
 
 def parseval_check(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
@@ -342,26 +325,9 @@ def bk_bound(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
     couplings; the chain check therefore lives with the callers that know the
     coupling is gapped.
     """
-    _, partial = _resolved_sum(lambda k: bk_coeffs(lam, beta, t, k), lam, t, k_max)
+    partial = _resolved_sum(lambda k: bk_coeffs(lam, beta, t, k), lam, t, k_max)
     M = spectrum_maximum(lam, beta, t)
     return partial / (M * M)
-
-
-def compute_fourier_series(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
-                           k_max: int | None = None) -> FourierSeries:
-    """Assemble the full coefficient bundle at one time point.
-
-    The truncation is resolved and tail-checked on c_k as in `szego_sum_for`;
-    b_k and the split use the same k_max.
-    """
-    c, _ = _resolved_sum(lambda k: log_symbol_coeffs(lam, beta, t, k), lam, t, k_max)
-    k_max = c.size - 1
-    b = bk_coeffs(lam, beta, t, k_max)
-    sigma = mu = None
-    if not is_critical(lam):
-        sigma, mu = mu_sigma(lam, beta, t, k_max)
-    return FourierSeries(c=c, b=b, sigma=sigma, mu=mu,
-                         M=spectrum_maximum(lam, beta, t), t=float(t), k_max=int(k_max))
 
 
 def _cone_edge(profile: np.ndarray) -> int:

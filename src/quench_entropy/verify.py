@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import evolution, reduction, spectral, szego
-from .errors import ConsistencyError, CriticalSymbolError
+from .errors import CriticalSymbolError
 
 _SEED = 20260817
 
@@ -196,8 +196,8 @@ def _reduction_family(quick: bool) -> _Family:
     try:
         for _ in range(n_inst):
             lam, beta, N, t = _random_gapped_instance(rng, sizes=sizes)
-            setup = evolution.EvolutionSetup(lam, beta, N)
-            dense = reduction.densify(evolution.evolve(setup, t))
+            state = evolution.evolve(evolution.EvolutionSetup(lam, beta, N), t)
+            dense = reduction.densify(state)
             n = N // 2
             blocks = reduction.partition(dense, n)
             red = reduction.reduce(blocks)
@@ -208,10 +208,10 @@ def _reduction_family(quick: bool) -> _Family:
             det = reduction.det_bound(blocks)
             worst_slack1 = min(worst_slack1, exact - nlp)
             worst_slack2 = min(worst_slack2, nlp - det)
-            # purity against the independent symplectic route
-            nu = reduction._williamson(reduction._cholesky(
-                reduction._kept_covariance(dense, n), "reduced covariance is not positive definite"))
-            worst_dual = max(worst_dual, abs(p - float(np.prod(1.0 / (2.0 * nu)))))
+            # purity against the symplectic spectrum of the smaller-side route the
+            # pipeline uses
+            sym_nlp = reduction.symbol_record(state, n).neg_log_purity
+            worst_dual = max(worst_dual, abs(p - float(np.exp(-sym_nlp))))
             # cyclic shift of the cut must not change the entropy
             shift = int(rng.integers(1, N))
             perm = np.roll(np.arange(N), shift)

@@ -333,7 +333,7 @@ def test_sweep_parses_only_the_swept_spec(monkeypatch, param, values, per_value)
     assert len(calls) == 2
     configs = [pipeline._sweep_config(base, param, v) for v in values]
     assert len(calls) == 2 + per_value * len(values)
-    text, _ = pipeline.run_sweep(base, param, values)
+    text = pipeline.run_sweep(base, param, values)
     assert len(calls) == 2 + 2 * per_value * len(values)
     assert len(text.splitlines()) == 1 + 2 * len(values)
     for cfg in configs:
@@ -361,6 +361,38 @@ def test_sweep_rejects_non_integral_size(param, value, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert f"sweep value {value} for {param} is not an integer" in err
+
+
+@pytest.mark.parametrize("key", ["N", "n", "steps", "jobs", "kmax"])
+def test_config_rejects_non_integral_values(key):
+    # a fractional size or count would otherwise be truncated silently
+    with pytest.raises(quench_entropy.SpectralSpecError, match=f"{key} must be an integer"):
+        pipeline.config_from_dict({"lambda": LAM15, key: 12.5})
+    config = pipeline.config_from_dict({"lambda": LAM15, key: 12.0})
+    assert {"N": config.N, "n": config.n, "steps": config.steps, "jobs": config.jobs,
+            "kmax": config.k_max}[key] == 12
+
+
+def test_config_file_with_fractional_values_exits_two(tmp_path):
+    path = tmp_path / "config.json"
+    for raw in ({"lambda": LAM15, "N": 32.7, "steps": 3.9}, {"lambda": LAM15, "kmax": 12.5}):
+        path.write_text(json.dumps(raw))
+        res = run_cli("evolve", "--config", str(path))
+        assert res.returncode == 2, (raw, res.stdout)
+        assert res.stdout == "" and "must be an integer" in res.stderr
+
+
+@pytest.mark.parametrize("flag, value", [("--t1", "inf"), ("--t1", "-inf"), ("--t0", "-inf")])
+def test_evolve_rejects_non_finite_time(flag, value):
+    res = run_cli("evolve", "--lambda", LAM15, "-N", "16", f"{flag}={value}")
+    assert res.returncode == 2
+    assert f"{flag[2:]}={float(value)} must be finite" in res.stderr
+    assert "Warning" not in res.stderr
+
+
+def test_public_names_resolve():
+    for name in quench_entropy.__all__:
+        assert getattr(quench_entropy, name) is not None, name
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -420,6 +452,20 @@ def test_fault_injection_breaks_symbol_record(monkeypatch):
     monkeypatch.setattr(reduction, "_circulant_rows", corrupted)
     with pytest.raises(ConsistencyError):
         pipeline.compute_row(*args)
+
+
+def test_fault_injection_fails_purity_vs_symplectic(monkeypatch):
+    # verify compares the dense purity against symbol_record's; a 1e-6 shift
+    # in the smaller-side route fails that check and no other
+    real = reduction.symbol_record
+
+    def corrupted(state, n):
+        rec = real(state, n)
+        return dataclasses.replace(rec, neg_log_purity=rec.neg_log_purity + 1e-6)
+
+    monkeypatch.setattr(reduction, "symbol_record", corrupted)
+    checks = _reduction_family(True).report()["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == ["purity_vs_symplectic"]
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

@@ -8,6 +8,7 @@ route the pipeline uses, is cross-checked against the dense-matrix functions,
 which stay as its reference implementation.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,9 +18,9 @@ from hypothesis import strategies as st
 
 from quench_entropy import (ConsistencyError, EvolutionSetup,
                             GaussianPureState, IllConditionedError,
-                            TrigPolynomial, densify, det_bound, entropy_record,
-                            evolve, exact_entropy, gap_family, partition,
-                            purity, reduce, symbol_record)
+                            SymbolRecord, TrigPolynomial, densify, det_bound,
+                            entropy_record, evolve, exact_entropy, gap_family,
+                            partition, purity, reduce, symbol_record)
 from quench_entropy import reduction
 from quench_entropy.reduction import _fold, _toeplitz, logdet_pd
 
@@ -154,9 +155,8 @@ def test_partition_two_by_two_analytic():
     blocks = partition(A, 1)
     det = a * r - c * c
     assert blocks.T[0, 0] == a and blocks.R[0, 0] == r and blocks.C[0, 0] == c
-    assert abs(blocks.P[0, 0] - a / det) < 1e-14
-    assert abs(blocks.Q[0, 0] - r / det) < 1e-14
-    assert abs(blocks.D[0, 0] + c / det) < 1e-14
+    # A is real, so P~ is the kept block of A^{-1}
+    assert abs(blocks.P_tilde[0, 0] - a / det) < 1e-14
     assert blocks.n == 1
 
 
@@ -194,7 +194,6 @@ def test_reduce_uncoupled_shortcut():
     assert np.abs(red.delta).max() == 0.0
     assert red.identity_residual == 0.0
     assert np.array_equal(red.gamma, blocks.R / 2.0)
-    assert red.norm > 0.0
 
 
 def test_reduce_schur_residual_small():
@@ -296,8 +295,12 @@ def test_stationary_entropies_constant():
 
 
 def test_entropy_record_fields():
-    record = entropy_record(_dense_state(LAM15, FLAT, 8, 0.0), 4, 0.0)
+    dense = _dense_state(LAM15, FLAT, 8, 0.0)
+    record = entropy_record(dense, 4, 0.0)
+    assert isinstance(record, SymbolRecord)
     assert record.t == 0.0 and record.n == 4 and record.N == 8
+    assert record.identity_residual == 0.0
+    assert record.condition_estimate == partition(dense, 4).condition_estimate
     # at t = 0 this configuration is uncoupled: every value is exactly zero,
     # and -ln(1) must come out as +0.0, not -0.0
     assert record.exact_entropy == 0.0
@@ -306,36 +309,33 @@ def test_entropy_record_fields():
     assert record.det_bound == 0.0
 
 
-def _tilde_inverting_afresh(blocks):
-    """The real-part blocks, with P~ cut from a fresh inverse of Re A."""
+def _fresh_p_tilde(blocks):
+    """P~ cut from a fresh inverse of Re A."""
     T_t, C_t, R_t = blocks.T.real, blocks.C.real, blocks.R.real
     full_real = np.block([[T_t, C_t], [C_t.T, R_t]])
-    return T_t, C_t, R_t, np.linalg.inv(full_real)[blocks.n:, blocks.n:]
+    return np.linalg.inv(full_real)[blocks.n:, blocks.n:]
 
 
 def _dense_bits(blocks):
     """Bits of everything reduce, purity and det_bound return for the blocks."""
     red = reduce(blocks)
-    return [np.asarray(v).tobytes() for v in (red.gamma, red.delta, red.norm,
-                                               red.identity_residual, purity(blocks),
-                                               det_bound(blocks))]
+    return [np.asarray(v).tobytes() for v in (red.gamma, red.delta, red.identity_residual,
+                                               purity(blocks), det_bound(blocks))]
 
 
-def test_partition_inverse_of_real_part_matches_fresh_inverse(monkeypatch):
-    # reduce, purity and det_bound read P~ from the partition; inverting Re A
-    # afresh in each of them gives the same bits
+def test_partition_inverse_of_real_part_matches_fresh_inverse():
+    # reduce, purity and det_bound read P~ from the partition; a P~ from
+    # inverting Re A afresh gives the same bits
     rng = np.random.default_rng(41)
     cases = [_random_instance(rng, sizes=(16, 33, 64)) for _ in range(6)]
     cases.append((LAM15, TrigPolynomial([1.0, 0.1]), 32, 3.0))
     for lam, beta, N, t in cases:
         for n in (1, N // 3, N // 2, N - 1):
             blocks = partition(_dense_state(lam, beta, N, t), n)
-            fresh = _tilde_inverting_afresh(blocks)[3]
+            fresh = _fresh_p_tilde(blocks)
             assert blocks.P_tilde.tobytes() == fresh.tobytes()
             got = _dense_bits(blocks)
-            with monkeypatch.context() as m:
-                m.setattr(reduction, "_tilde", _tilde_inverting_afresh)
-                assert _dense_bits(blocks) == got
+            assert _dense_bits(dataclasses.replace(blocks, P_tilde=fresh)) == got
 
 
 def test_entropy_record_inverts_each_full_matrix_once(monkeypatch):
@@ -363,30 +363,18 @@ def test_entropy_record_inverts_each_full_matrix_once(monkeypatch):
 RECORD_FIELDS = ("exact_entropy", "neg_log_purity", "det_bound", "condition_estimate")
 
 
-def _dense_record(state, n):
-    dense = densify(state)
-    blocks = partition(dense, n)
-    return {
-        "exact_entropy": exact_entropy(dense, n),
-        "neg_log_purity": -math.log(purity(blocks)) + 0.0,
-        "det_bound": det_bound(blocks),
-        "identity_residual": reduce(blocks).identity_residual,
-        "condition_estimate": blocks.condition_estimate,
-    }
-
-
 def _assert_matches_dense(lam, beta, N, n, t):
     state = evolve(EvolutionSetup(lam, beta, N), t)
-    ref = _dense_record(state, n)
+    ref = entropy_record(densify(state), n, t)
     rec = symbol_record(state, n)
-    assert (rec.t, rec.n, rec.N) == (t, n, N)
+    assert (rec.t, rec.n, rec.N) == (ref.t, ref.n, ref.N) == (t, n, N)
     for field in RECORD_FIELDS:
-        got = getattr(rec, field)
-        assert abs(got - ref[field]) <= 1e-10 + 1e-9 * abs(ref[field]), \
-            (field, got, ref[field], lam.coeffs, beta.coeffs, N, n, t)
+        got, want = getattr(rec, field), getattr(ref, field)
+        assert abs(got - want) <= 1e-10 + 1e-9 * abs(want), \
+            (field, got, want, lam.coeffs, beta.coeffs, N, n, t)
     # the dense Schur residual and symbol_record's block-row residual measure
     # different identities; each must hold on its own
-    assert ref["identity_residual"] <= 1e-9
+    assert ref.identity_residual <= 1e-9
     assert rec.identity_residual <= 1e-9
     return rec
 
@@ -442,7 +430,7 @@ def test_symbol_record_error_types_match_dense():
                                  size=16, time=0.0)
     for state, exc in ((ill, IllConditionedError), (negative, ConsistencyError)):
         with pytest.raises(exc):
-            _dense_record(state, 8)
+            entropy_record(densify(state), 8, state.time)
         with pytest.raises(exc):
             symbol_record(state, 8)
 

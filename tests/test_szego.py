@@ -13,8 +13,7 @@ import pytest
 
 from quench_entropy import szego
 from quench_entropy import (CriticalSymbolError, QuadratureError, TailCriterionError,
-                            TrigPolynomial, bk_bound, bk_coeffs,
-                            compute_fourier_series, fit_linear,
+                            TrigPolynomial, bk_bound, bk_coeffs, fit_linear,
                             fit_quadratic_short_time, gap_family,
                             light_cone_profile, log_symbol_coeffs, mu_sigma,
                             parseval_check, szego_sum, szego_sum_for)
@@ -66,9 +65,8 @@ def test_szego_sum_manual_series():
 
 
 def test_szego_sum_tail_criterion():
-    with pytest.raises(TailCriterionError) as exc_info:
+    with pytest.raises(TailCriterionError):
         szego_sum(np.array([1.0, 0.5, 0.3]))
-    assert exc_info.value.suggested_k_max == 4
 
 
 def test_szego_sum_frozen_values():
@@ -248,28 +246,23 @@ def test_light_cone_rejects_critical():
         light_cone_profile(gap_family(0.5), FLAT, (1.0,))
 
 
-def test_fourier_series_bundle():
-    fs = compute_fourier_series(LAM15, FLAT, 2.0)
-    assert fs.c.size == fs.k_max + 1 == fs.b.size
-    assert fs.sigma is not None and fs.mu is not None
-    assert np.abs(fs.b - fs.sigma - fs.mu).max() < 1e-10
-    assert fs.M > 0 and fs.t == 2.0
+def test_szego_sum_for_critical_truncation_is_tail_checked(monkeypatch):
+    # a critical coupling starts at k_max = 256; where that leaves a
+    # non-negligible tail, k_max doubles until the tail criterion holds
+    calls = []
+    real = szego.log_symbol_coeffs
 
+    def recording(lam, beta, t, k_max):
+        calls.append(k_max)
+        return real(lam, beta, t, k_max)
 
-def test_fourier_series_critical_skips_split():
-    fs = compute_fourier_series(gap_family(1.0), FLAT, 0.5)
-    assert fs.sigma is None and fs.mu is None
-    assert fs.k_max == 256
-
-
-def test_fourier_series_critical_truncation_is_tail_checked():
-    # 256 leaves a non-negligible tail here; the bundle grows k_max like
-    # szego_sum_for does
-    lam = gap_family(0.5)
-    fs = compute_fourier_series(lam, FLAT, 20.0)
-    assert fs.k_max == 2048
-    assert fs.c.size == fs.b.size == 2049
-    assert szego_sum(fs.c) == szego_sum_for(lam, FLAT, 20.0)
+    monkeypatch.setattr(szego, "log_symbol_coeffs", recording)
+    for lam, t, ks in ((gap_family(1.0), 0.5, [256]),
+                       (gap_family(0.5), 20.0, [256, 512, 1024, 2048])):
+        calls.clear()
+        value = szego_sum_for(lam, FLAT, t)
+        assert calls == ks
+        assert value == szego_sum(real(lam, FLAT, t, ks[-1]))
 
 
 def test_critical_retry_frozen_values():
@@ -448,17 +441,30 @@ def test_sample_table_deep_stabilization_matches_fresh_grids(monkeypatch):
         passes.clear()
 
 
+def _coefficient_bundle(lam, beta, t):
+    """c_k, b_k, the static/traveling split (gapped couplings only) and the
+    spectrum maximum at one time: the cone-covering k_max, or 2048 for a
+    critical coupling."""
+    if szego.is_critical(lam):
+        k = 2048
+        split = ()
+    else:
+        k = default_k_max(lam, t)
+        split = mu_sigma(lam, beta, t, k)
+    return (log_symbol_coeffs(lam, beta, t, k), bk_coeffs(lam, beta, t, k), *split,
+            spectrum_maximum(lam, beta, t))
+
+
 def _bits(value):
-    if isinstance(value, szego.FourierSeries):
-        return tuple(_bits(getattr(value, f)) for f in ("c", "b", "sigma", "mu", "M",
-                                                         "t", "k_max"))
-    return None if value is None else np.asarray(value).tobytes()
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return np.asarray(value).tobytes()
 
 
 def test_sample_table_results_independent_of_call_history():
     rng = np.random.default_rng(2028)
     cases = [(fn, lam, beta, t)
-             for fn in (szego_sum_for, bk_bound, compute_fourier_series)
+             for fn in (szego_sum_for, bk_bound, _coefficient_bundle)
              for lam, beta, times in ((LAM15, TrigPolynomial([1.05, 0.05]),
                                        (0.0, 0.37, 3.0, 10.0, 25.0)),
                                       (gap_family(0.5), FLAT, (0.37, 5.0, 20.0)))
