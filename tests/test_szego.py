@@ -246,9 +246,9 @@ def test_light_cone_rejects_critical():
         light_cone_profile(gap_family(0.5), FLAT, (1.0,))
 
 
-def test_szego_sum_for_critical_truncation_is_tail_checked(monkeypatch):
-    # a critical coupling starts at k_max = 256; where that leaves a
-    # non-negligible tail, k_max doubles until the tail criterion holds
+def _critical_k_max_trail(monkeypatch, lam, t):
+    """The k_max values szego_sum_for tries for a critical coupling, after
+    checking its sum against the coefficients at the last of them."""
     calls = []
     real = szego.log_symbol_coeffs
 
@@ -257,12 +257,24 @@ def test_szego_sum_for_critical_truncation_is_tail_checked(monkeypatch):
         return real(lam, beta, t, k_max)
 
     monkeypatch.setattr(szego, "log_symbol_coeffs", recording)
-    for lam, t, ks in ((gap_family(1.0), 0.5, [256]),
-                       (gap_family(0.5), 20.0, [256, 512, 1024, 2048])):
-        calls.clear()
-        value = szego_sum_for(lam, FLAT, t)
-        assert calls == ks
-        assert value == szego_sum(real(lam, FLAT, t, ks[-1]))
+    value = szego_sum_for(lam, FLAT, t)
+    assert value == szego_sum(real(lam, FLAT, t, calls[-1]))
+    return calls
+
+
+def test_fourier_series_critical_skips_split(monkeypatch):
+    # a critical coupling starts at k_max = 256 and has no static/traveling split
+    lam = gap_family(1.0)
+    assert _critical_k_max_trail(monkeypatch, lam, 0.5) == [256]
+    with pytest.raises(CriticalSymbolError):
+        mu_sigma(lam, FLAT, 0.5, 256)
+
+
+def test_fourier_series_critical_truncation_is_tail_checked(monkeypatch):
+    # 256 leaves a non-negligible tail here; k_max doubles until the tail
+    # criterion holds
+    assert (_critical_k_max_trail(monkeypatch, gap_family(0.5), 20.0)
+            == [256, 512, 1024, 2048])
 
 
 def test_critical_retry_frozen_values():
