@@ -205,11 +205,15 @@ def compute_row(lam: TrigPolynomial, beta: TrigPolynomial, N: int, n: int,
 
 
 def _map_rows(fn, arglist: list, jobs: int) -> list:
-    """fn(*args) for each args tuple, in order; in a process pool when jobs > 1."""
+    """fn(*args) for each args tuple, in order; in a process pool when jobs > 1.
+
+    The pool has no more workers than rows: a forking pool starts all of
+    them at the first submit.
+    """
     if jobs > 1 and len(arglist) > 1:
         import concurrent.futures  # imported here: with logging, a few ms of every start-up
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(arglist))) as pool:
             return list(pool.map(fn, *zip(*arglist)))
     return [fn(*args) for args in arglist]
 

@@ -8,6 +8,11 @@ which is automatically real and even. Such a function generates a real symmetric
 circulant matrix whose eigenvalues are the symbol samples f(2 pi j / N). Both the
 coupling spectrum of the oscillator chain and the width spectrum of the initial
 Gaussian state live in this class.
+
+With x = cos(theta), cos(m theta) = T_m(x), so f is the Chebyshev series
+sum a_m T_m(x). `evaluate` sums it by Clenshaw's recurrence (one cosine per
+angle, memory linear in the angles) and `extrema` solves for its stationary
+points in x.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ _CRITICAL_REL_TOL = 1e-9
 _REFINE_XATOL = 1e-12
 _REFINE_POINTS = 65
 _EPS = np.finfo(float).eps
+# Angles per block of `evaluate`: its temporaries are a few arrays of this
+# length, whatever the number of angles or the degree.
+_EVAL_BLOCK = 1 << 14
 
 
 def _refine_minimum(fn, lo: float, hi: float) -> tuple[float, float]:
@@ -147,12 +155,38 @@ class SpectralExtrema:
     argmax: float
 
 
+def _clenshaw(a: list, x):
+    """sum a_m T_m(x) by Clenshaw's recurrence, from the top coefficient down:
+    b_k = a_k + 2x b_{k+1} - b_{k+2}, then a_0 + x b_1 - b_2."""
+    if len(a) == 1:
+        return a[0] + 0.0 * x
+    x2 = x + x
+    b1, b2 = a[-1], 0.0
+    for ak in reversed(a[1:-1]):
+        b1, b2 = ak + x2 * b1 - b2, b1
+    return a[0] + x * b1 - b2
+
+
 def evaluate(f: TrigPolynomial, theta):
-    """Evaluate a_0 + sum a_m cos(m theta); vectorized over theta."""
+    """Evaluate a_0 + sum a_m cos(m theta); vectorized over theta.
+
+    Since cos(m theta) = T_m(cos theta), this is one cosine per angle and
+    Clenshaw's recurrence in x = cos(theta). More than _EVAL_BLOCK angles run
+    in blocks of that many, each filling its slice of one output array, so
+    the temporaries stay a few blocks long. Every step is elementwise: the
+    value at an angle does not depend on the array around it or on where the
+    blocks split it. A 0-d theta gives a float, any other shape is kept.
+    """
+    a = f.coeffs.tolist()
     th = np.asarray(theta, dtype=float)
-    m = np.arange(f.coeffs.size)
-    vals = np.cos(np.multiply.outer(th, m)) @ f.coeffs
-    return vals if th.ndim else float(vals)
+    if th.size <= _EVAL_BLOCK:
+        vals = _clenshaw(a, np.cos(th))
+        return vals if th.ndim else float(vals)
+    flat = th.ravel()
+    out = np.empty(flat.size)
+    for i in range(0, flat.size, _EVAL_BLOCK):
+        out[i:i + _EVAL_BLOCK] = _clenshaw(a, np.cos(flat[i:i + _EVAL_BLOCK]))
+    return out.reshape(th.shape)
 
 
 def gap_family(c: float) -> TrigPolynomial:

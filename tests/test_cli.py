@@ -87,6 +87,38 @@ def test_evolve_deterministic_and_jobs_invariant():
     assert first.stdout == parallel.stdout
 
 
+def test_pool_has_no_more_workers_than_rows(monkeypatch, capsys):
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    args = ["evolve", "--lambda", LAM15, "-N", "16", "--steps", "3", "--t1", "2.0"]
+    assert cli.main(args) == 0
+    serial = capsys.readouterr().out
+    assert cli.main([*args, "--jobs", "64"]) == 0
+    assert capsys.readouterr().out == serial
+    assert sizes == [3]
+    assert pipeline._map_rows(pow, [(2, 3), (3, 2)], 5) == [8, 9]
+    assert pipeline._map_rows(pow, [(2, 3), (3, 2), (2, 2)], 2) == [8, 9, 4]
+    assert sizes == [3, 2, 2]
+
+
 def test_uncoupled_rows_exactly_zero():
     res = run_cli("evolve", "--lambda", "poly:2.25", "--beta", "poly:1",
                   "-N", "16", "--steps", "4", "--t1", "6.0")

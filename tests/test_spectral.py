@@ -1,6 +1,7 @@
 """Spectral-function algebra: parsing, circulant construction, extrema, velocity bound."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,81 @@ def test_evaluate_scalar_and_vector():
     arr = evaluate(f, np.array([0.0, np.pi]))
     assert arr.shape == (2,)
     assert np.allclose(arr, [1.0, 3.0])
+
+
+def _cos_table_sum(f, theta):
+    """The direct sum: the (..., K+1) table cos(m theta) times the coefficients.
+
+    It costs K + 1 cosines per angle and a temporary of K + 1 times the
+    output, and is the oracle for `evaluate`'s Clenshaw recurrence.
+    """
+    th = np.asarray(theta, dtype=float)
+    vals = np.cos(np.multiply.outer(th, np.arange(f.coeffs.size))) @ f.coeffs
+    return vals if th.ndim else float(vals)
+
+
+_SPECIAL_ANGLES = [0.0, np.pi, 2 * np.pi, -np.pi, -2 * np.pi, 4 * np.pi, -4 * np.pi]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(coeffs=st.lists(st.floats(-10.0, 10.0, allow_subnormal=False), min_size=1, max_size=41),
+       angles=st.lists(st.one_of(st.sampled_from(_SPECIAL_ANGLES),
+                                 st.floats(-4 * np.pi, 4 * np.pi)), min_size=1, max_size=24),
+       ndim=st.sampled_from([0, 1, 2]))
+def test_evaluate_matches_cos_table_property(coeffs, angles, ndim):
+    """Clenshaw agrees with the direct sum to 8 (K+1)^2 eps sum|a_m|.
+
+    Both sides err by O(eps) per step, scaled by how far a perturbation
+    carries. Clenshaw's input x = cos(theta) is off by up to eps, and
+    |d/dx T_m(x)| <= m^2, reached at x = +-1 (T_m'(+-1) = +-m^2), so that
+    carries up to K^2 eps sum|a_m|; its recurrence terms satisfy
+    |b_k| <= (K - k + 1) sum|a_m|, and rounding them adds about
+    (K+1)^2 eps sum|a_m|. The direct sum rounds m theta with |m theta| <=
+    4 pi K, which moves cos(m theta) by up to 2 pi K eps, and sums K + 1
+    terms. Together that is below 8 (K+1)^2 eps sum|a_m| for every K >= 1;
+    degree 0 is exact on both sides.
+    """
+    f = TrigPolynomial(coeffs)
+    arr = np.array(angles)
+    theta = {0: arr[0], 1: arr, 2: np.stack([arr, arr[::-1]])}[ndim]
+    got, want = evaluate(f, theta), _cos_table_sum(f, theta)
+    if ndim == 0:
+        assert isinstance(got, float)
+    else:
+        assert got.shape == theta.shape
+    bound = 8 * (f.degree + 1) ** 2 * np.finfo(float).eps * np.abs(f.coeffs).sum()
+    assert np.all(np.abs(np.asarray(got) - want) <= bound)
+
+
+def test_evaluate_elementwise_across_blocks():
+    # the angles either side of every block boundary give the same bits
+    # inside a multi-block array, in a shifted copy and on their own
+    block = spectral._EVAL_BLOCK
+    rng = np.random.default_rng(17)
+    theta = rng.uniform(-4 * np.pi, 4 * np.pi, 3 * block + 5)
+    f = TrigPolynomial(rng.normal(size=9))
+    whole = evaluate(f, theta)
+    shifted = evaluate(f, theta[3:])
+    for edge in (block, 2 * block, 3 * block):
+        near = slice(edge - 4, edge + 4)
+        alone = evaluate(f, theta[near])
+        assert np.array_equal(alone, whole[near])
+        assert np.array_equal(alone, shifted[edge - 7:edge + 1])
+        assert [evaluate(f, th) for th in theta[near]] == alone.tolist()
+    assert np.array_equal(evaluate(f, theta[:-5].reshape(3, block)),
+                          whole[:-5].reshape(3, block))
+
+
+def test_evaluate_memory_linear_in_the_angles():
+    theta = np.linspace(0, 2 * np.pi, 1 << 20, endpoint=False)
+    f = gap_family(1.0)
+    tracemalloc.start()
+    try:
+        vals = evaluate(f, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * vals.nbytes
 
 
 def test_build_circulant_first_row_frozen():
