@@ -1,8 +1,8 @@
 """Thermodynamic-limit machinery built on Fourier coefficients of the evolved spectrum.
 
-Everything here works with the evolved width spectrum Lambda(theta, t) sampled on
-uniform grids (the trapezoid rule is spectrally accurate for smooth periodic
-integrands, and every grid is doubled until the coefficients stop moving):
+Everything here works with the evolved width spectrum Lambda(theta, t) sampled on the half
+period of uniform grids (every integrand is even; the trapezoid rule is spectrally accurate for
+smooth periodic integrands, and a grid doubles until its aliased coefficients are negligible):
 
 * coefficients c_k of ln Lambda^{-1} and the entropy lower bound sum k c_k^2,
 * an independent double-integral identity for the same sum (Parseval route),
@@ -68,31 +68,33 @@ def _pow2_at_least(n: int) -> int:
     return g
 
 
-def _cosine_coeffs_once(samples, k_max: int, grid: int) -> np.ndarray:
-    """One quadrature pass: k_max+1 real Fourier coefficients (1/2pi convention)
-    of the samples on the uniform `grid`-point grid."""
+def _cosine_coeffs_once(samples, k_max: int, grid: int):
+    """One quadrature pass over an even function sampled at 2 pi j / grid, j = 0..grid/2:
+    its k_max+1 real Fourier coefficients (1/2pi convention), and the largest aliased one
+    |c_{grid/2 - k}|, k <= k_max, which by c^G_k = c^2G_k + c^2G_{G-k} is how far they
+    move from the grid half as fine."""
     vals = np.asarray(samples, dtype=float)
     if np.ptp(vals) == 0.0:
         out = np.zeros(k_max + 1)
         out[0] = vals[0]
-        return out
-    # exact even symmetrization kills the odd rounding dust before the FFT
-    vals = 0.5 * (vals + np.roll(vals[::-1], 1))
-    return (np.fft.rfft(vals)[: k_max + 1] / grid).real
+        return out, 0.0
+    spec = np.fft.rfft(np.concatenate((vals, vals[-2:0:-1])))
+    alias = float(np.abs(spec[grid // 2 - k_max:].real).max()) / grid
+    return (spec[: k_max + 1] / grid).real, alias
 
 
 class _SampleTable:
-    """Samples of one (lambda, beta) pair on the uniform grid of `size` points.
+    """Samples of one (lambda, beta) pair on the half period of a `size`-point grid.
 
-    It keeps the time-independent max(lambda, 0), beta and sqrt(max(lambda, 0))
-    and Lambda(theta, t) for the last time asked for. Every power-of-two grid
-    below `size` is a strided view: its angles 2 pi j / grid have the same bits
-    as the even-index angles of the grid twice as fine, so a view gives the
-    bits a fresh grid would.
+    At the angles 2 pi j / size, j = 0..size/2, it keeps the time-independent
+    max(lambda, 0), beta and sqrt(max(lambda, 0)) and Lambda(theta, t) for the
+    last time asked for. Every power-of-two grid below `size` is a strided view:
+    its angles 2 pi j / grid have the same bits as the even-index angles of the
+    grid twice as fine, so a view gives the bits a fresh grid would.
     """
 
     def __init__(self, lam: TrigPolynomial, beta: TrigPolynomial, size: int):
-        theta = 2.0 * np.pi * np.arange(size) / size
+        theta = 2.0 * np.pi * np.arange(size // 2 + 1) / size
         self.key = _pair_key(lam, beta)
         self.size = size
         self.lam = np.maximum(np.asarray(evaluate(lam, theta), dtype=float), 0.0)
@@ -101,12 +103,12 @@ class _SampleTable:
         self._evolved = (None, 1, None)  # (t, grid, Lambda samples)
 
     def symbols(self, grid: int):
-        """max(lambda, 0), beta and its square root on the `grid`-point grid."""
+        """max(lambda, 0), beta and its square root on the `grid`-point half period."""
         step = self.size // grid
         return self.lam[::step], self.beta[::step], self.root[::step]
 
     def evolved(self, t: float, grid: int) -> np.ndarray:
-        """Lambda(theta, t) on the `grid`-point grid, as `lambda_of_t` gives it."""
+        """Lambda(theta, t) on the `grid`-point half period, as `lambda_of_t` gives it."""
         last_t, last_grid, vals = self._evolved
         if last_t != t or last_grid % grid:
             _, bv, root = self.symbols(grid)
@@ -139,25 +141,20 @@ def _sample_table(lam: TrigPolynomial, beta: TrigPolynomial, grid: int) -> _Samp
 def _stabilized_cosine_coeffs(samples_at, k_max: int) -> np.ndarray:
     """Fourier coefficients with automatic grid doubling until they stabilize.
 
-    `samples_at(grid)` gives the samples on a uniform grid. Each pass compares
-    against the even-index samples of the pass before, so every grid is
-    sampled once. A grid that does not stabilize raises QuadratureError and
+    `samples_at(grid)` gives the samples on a uniform half period. One pass on
+    the grid 2G tests its aliased coefficients, so every grid is sampled and
+    transformed once. A grid that does not stabilize raises QuadratureError and
     drops the module's sample table, which by then holds the largest grid.
     """
     global _table
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
     grid = _pow2_at_least(max(_QUAD_START, 8 * (k_max + 1)))
-    prev = None
     while grid <= _QUAD_CAP:
-        fine = samples_at(2 * grid)
-        if prev is None:
-            prev = _cosine_coeffs_once(fine[::2], k_max, grid)
+        coeffs, alias = _cosine_coeffs_once(samples_at(2 * grid), k_max, 2 * grid)
+        if alias <= _COEFF_STABLE_TOL:
+            return coeffs
         grid *= 2
-        cur = _cosine_coeffs_once(fine, k_max, grid)
-        if np.abs(cur - prev).max() <= _COEFF_STABLE_TOL:
-            return cur
-        prev = cur
     _table = None
     raise QuadratureError(
         f"coefficients did not stabilize to {_COEFF_STABLE_TOL:g} below grid {_QUAD_CAP}")
@@ -236,32 +233,32 @@ def parseval_check(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
                          ln^2[ Lambda(eta1 - eta2) / Lambda(eta1 + eta2) ] / sin^2(eta2)
 
     evaluated on a midpoint-offset lattice so eta1 +- eta2 land on one shared
-    sample table and the removable endpoint singularities are never touched.
+    sample table and the removable endpoint singularities are never touched. The
+    integrand is even in eta1 and 0 at eta1 = 0, pi: a row counts 0 < eta1 < pi twice.
     """
-    if grid % 2:
-        raise ValueError("grid must be even")
+    if not isinstance(grid, (int, np.integer)) or grid <= 0 or grid % 2:
+        raise ValueError(f"grid must be even and a positive integer, got {grid!r}")
     h = 2.0 * np.pi / grid
-    theta = (np.arange(grid) + 0.5) * h
-    log_spec = np.log(lambda_of_t(lam, beta, theta, t))
-    if np.ptp(log_spec) == 0.0:
-        return 0.0
-    # three periods, so every wrapped sample run is one window of the table;
-    # row j of the double sum pairs window grid - j - 1 with window grid + j
-    windows = np.lib.stride_tricks.sliding_window_view(np.tile(log_spec, 3), grid)
     half = grid // 2
-    sq = np.empty((_PARSEVAL_BLOCK, grid))
-    total = 0.0
+    log_half = np.log(lambda_of_t(lam, beta, (np.arange(half) + 0.5) * h, t))
+    if np.ptp(log_half) == 0.0:
+        return 0.0
+    # two periods of the mirrored half, so every wrapped sample run is one window;
+    # row j of the double sum pairs window grid - j with window grid + j + 1
+    log_spec = np.tile(np.concatenate((log_half, log_half[::-1])), 2)
+    windows = np.lib.stride_tricks.sliding_window_view(log_spec, half - 1)
+    sq = np.empty((_PARSEVAL_BLOCK, half - 1))
+    row_sums = np.empty(half)
     for j0 in range(0, half, _PARSEVAL_BLOCK):
         rows = min(_PARSEVAL_BLOCK, half - j0)
         block = sq[:rows]
-        np.subtract(windows[grid - j0 - 1: grid - j0 - 1 - rows: -1],
-                    windows[grid + j0: grid + j0 + rows], out=block)
+        np.subtract(windows[grid - j0: grid - j0 - rows: -1],
+                    windows[grid + j0 + 1: grid + j0 + 1 + rows], out=block)
         np.multiply(block, block, out=block)
-        row_sums = block.sum(axis=1)
-        for j in range(j0, j0 + rows):
-            eta2 = (j + 0.5) * h
-            total += float(row_sums[j - j0]) / np.sin(eta2) ** 2
-    return total * h * h / (16.0 * np.pi ** 2)
+        block.sum(axis=1, out=row_sums[j0: j0 + rows])
+    # the rows are added one by one in eta2 order (a cumulative sum), as in a per-row loop
+    total = np.cumsum(row_sums / np.sin((np.arange(half) + 0.5) * h) ** 2)[-1]
+    return float(total) * h * h / (8.0 * np.pi ** 2)
 
 
 def bk_coeffs(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
@@ -307,7 +304,7 @@ def _mu_coeffs(lam: TrigPolynomial, beta: TrigPolynomial, t: float, k_max: int) 
 
 
 def spectrum_maximum(lam: TrigPolynomial, beta: TrigPolynomial, t: float) -> float:
-    """max_theta Lambda(theta, t): dense scan plus bounded local refinement."""
+    """max_theta Lambda(theta, t): half-period scan plus bounded local refinement."""
     vals = _sample_table(lam, beta, _MAXIMUM_GRID).evolved(t, _MAXIMUM_GRID)
     i = int(np.argmax(vals))
     theta_i = 2.0 * np.pi * i / _MAXIMUM_GRID
@@ -350,6 +347,8 @@ def light_cone_profile(lam: TrigPolynomial, beta: TrigPolynomial,
     _require_gapped(lam, "the light-cone profile")
     v_g = group_velocity_bound(lam)
     t_arr = np.asarray(list(t_list), dtype=float)
+    if t_arr.size == 0:
+        raise ValueError("t_list must hold at least one time")
     k_max = int(np.ceil(2.0 * v_g * np.abs(t_arr).max())) + 64
     rows = []
     edges = []

@@ -96,20 +96,49 @@ def test_parseval_matches_coefficient_sum():
 
 
 def test_parseval_frozen_values():
-    # recorded from the modulo-indexed loop the slice table replaced
+    # recorded from the half-period route; the full-period route it replaced
+    # gave these same bits for this flat width
     lam = gap_family(1.5)
-    assert parseval_check(lam, FLAT, 1.0) == 0.2138324247324734
-    assert parseval_check(lam, FLAT, 3.0) == 0.49659631039127633
-    assert parseval_check(lam, FLAT, 5.0) == 0.527937294214642
+    for t, ref in ((1.0, 0.2138324247324734),
+                   (3.0, 0.49659631039127633),
+                   (5.0, 0.527937294214642)):
+        got = parseval_check(lam, FLAT, t)
+        assert got == ref, t
+        assert abs(got - _parseval_full_period(lam, FLAT, t, 8192)) <= 1e-13 * ref, t
 
 
 def test_parseval_rejects_odd_grid():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="grid must be even"):
         parseval_check(LAM15, FLAT, 1.0, grid=999)
 
 
+@pytest.mark.parametrize("grid", [0, -4, -3, 8192.0, "8192", None])
+def test_parseval_rejects_grid_that_is_not_a_positive_integer(grid):
+    with pytest.raises(ValueError, match="grid must be even and a positive integer"):
+        parseval_check(LAM15, FLAT, 1.0, grid=grid)
+
+
+def test_parseval_accepts_numpy_integer_grid():
+    assert parseval_check(LAM15, FLAT, 1.0, np.int64(64)) == parseval_check(LAM15, FLAT, 1.0, 64)
+
+
 def _parseval_per_row(lam, beta, t, grid):
-    """The double sum of `parseval_check`, one row of eta2 at a time."""
+    """The double sum of `parseval_check`, one row of eta2 at a time, over the
+    mirrored half-period lattice."""
+    h = 2.0 * np.pi / grid
+    half = grid // 2
+    log_half = np.log(lambda_of_t(lam, beta, (np.arange(half) + 0.5) * h, t))
+    table = np.tile(np.concatenate((log_half, log_half[::-1])), 2)
+    total = 0.0
+    for j in range(half):
+        diff = table[grid - j: grid - j + half - 1] - table[grid + j + 1: grid + j + half]
+        total += float(np.sum(diff * diff)) / np.sin((j + 0.5) * h) ** 2
+    return total * h * h / (8.0 * np.pi ** 2)
+
+
+def _parseval_full_period(lam, beta, t, grid):
+    """The double sum over the whole midpoint lattice, one row at a time: the
+    full-period route the half-period one replaced."""
     h = 2.0 * np.pi / grid
     log_spec = np.log(lambda_of_t(lam, beta, (np.arange(grid) + 0.5) * h, t))
     table = np.tile(log_spec, 3)
@@ -127,7 +156,10 @@ def test_parseval_blocked_rows_match_per_row_loop():
         for _ in range(2):
             lam, beta = _random_gapped_pair(rng)
             t = float(rng.uniform(0.0, 8.0))
-            assert parseval_check(lam, beta, t, grid) == _parseval_per_row(lam, beta, t, grid)
+            got = parseval_check(lam, beta, t, grid)
+            assert got == _parseval_per_row(lam, beta, t, grid)
+            full = _parseval_full_period(lam, beta, t, grid)
+            assert abs(got - full) <= 1e-13 * full, (grid, got, full)
 
 
 def test_bk_recombines_from_split():
@@ -239,6 +271,11 @@ def test_light_cone_profile_runs_one_quadrature_per_time(monkeypatch):
         _, mu = mu_sigma(LAM15, beta, t, calls[0])
         assert np.array_equal(row, np.abs(mu))
         assert edge == szego._cone_edge(mu)
+
+
+def test_light_cone_rejects_empty_time_list():
+    with pytest.raises(ValueError, match="t_list"):
+        light_cone_profile(LAM15, FLAT, [])
 
 
 def test_light_cone_rejects_critical():
@@ -356,11 +393,60 @@ def test_fit_quadratic_degenerate_cases():
 # ---------------------------------------------------------------------------
 
 ORACLE_PASS = szego._cosine_coeffs_once
+# rounding of the two transforms, in units of the largest coefficient
+FULL_PERIOD_ULPS = 4 * np.finfo(float).eps
+
+
+def _half_period(grid):
+    """The angles 2 pi j / grid, j = 0..grid/2."""
+    return 2.0 * np.pi * np.arange(grid // 2 + 1) / grid
 
 
 def _oracle_pass(fn, k_max, grid):
-    """One quadrature pass over fn sampled afresh on the angles 2 pi j / grid."""
-    return ORACLE_PASS(fn(2.0 * np.pi * np.arange(grid) / grid), k_max, grid)
+    """One quadrature pass over fn sampled afresh on the half period of the
+    `grid`-point grid."""
+    return ORACLE_PASS(fn(_half_period(grid)), k_max, grid)
+
+
+def _full_period_pass(samples, k_max, grid):
+    """The full-period pass the half-period one replaced: all `grid` samples,
+    symmetrized exactly, then one rfft."""
+    vals = np.asarray(samples, dtype=float)
+    if np.ptp(vals) == 0.0:
+        out = np.zeros(k_max + 1)
+        out[0] = vals[0]
+        return out
+    vals = 0.5 * (vals + np.roll(vals[::-1], 1))
+    return (np.fft.rfft(vals)[: k_max + 1] / grid).real
+
+
+def _assert_matches_full_period(fn, k_max, grid, coeffs):
+    """The half-period pass `coeffs` against the full-period pass of fresh
+    samples: they differ by at most half the mirror mismatch of the
+    full-period samples, which that pass averaged away, plus a few ulps of
+    max |c|. (The angle 2 pi (grid - j) / grid is not the exact mirror of
+    2 pi j / grid, and at large t Lambda turns that into more than rounding.)"""
+    full = fn(2.0 * np.pi * np.arange(grid) / grid)
+    ref = _full_period_pass(full, k_max, grid)
+    mismatch = 0.5 * np.abs(full - np.roll(full[::-1], 1)).max()
+    err = np.abs(coeffs - ref).max()
+    assert err <= mismatch + FULL_PERIOD_ULPS * np.abs(ref).max(), (k_max, grid, err, mismatch)
+
+
+def test_aliased_maximum_is_the_move_from_the_grid_half_as_fine():
+    # c^G_k - c^2G_k = c^2G_{G-k}: the aliased maximum of one pass on 2G is
+    # the largest move of the first k_max + 1 coefficients from the pass on
+    # G, down to the Nyquist bin, which carries the move of c_0 (all of it
+    # for cos(G theta), which the grid G sees as the constant 1)
+    grid, k_max = 64, 8
+    for fn in (lambda th: 1.0 / (1.02 - np.cos(th)),
+               lambda th: 1.0 / (1.1 - np.cos(2.0 * th)),
+               lambda th: np.cos(grid * th)):
+        coeffs, alias = ORACLE_PASS(fn(_half_period(2 * grid)), k_max, 2 * grid)
+        coarse, _ = ORACLE_PASS(fn(_half_period(grid)), k_max, grid)
+        move = np.abs(coarse - coeffs).max()
+        assert move > 1e-6
+        assert abs(alias - move) <= 1e-13 * move, (alias, move)
 
 
 def _random_gapped_pair(rng):
@@ -370,7 +456,8 @@ def _random_gapped_pair(rng):
 
 
 def _recorded_passes(monkeypatch):
-    """(k_max, grid, coefficients) of every quadrature pass the library runs."""
+    """(k_max, grid, (coefficients, aliased maximum)) of every quadrature pass
+    the library runs."""
     passes = []
 
     def recording(samples, k_max, grid):
@@ -381,10 +468,15 @@ def _recorded_passes(monkeypatch):
     return passes
 
 
-def _fresh_spectrum_maximum(lam, beta, t):
-    """The spectrum maximum from its own 16384-point scan plus refinement."""
+def _same_pass(got, ref):
+    return got[0].tobytes() == ref[0].tobytes() and got[1] == ref[1]
+
+
+def _fresh_spectrum_maximum(lam, beta, t, period=0.5):
+    """The spectrum maximum from its own scan of `period` of the 16384-point
+    grid, plus refinement."""
     grid = 16384
-    theta = 2.0 * np.pi * np.arange(grid) / grid
+    theta = 2.0 * np.pi * np.arange(int(period * grid) + 1) / grid
     vals = lambda_of_t(lam, beta, theta, t)
     i = int(np.argmax(vals))
     h = 2.0 * np.pi / grid
@@ -394,11 +486,12 @@ def _fresh_spectrum_maximum(lam, beta, t):
 
 
 def test_sample_table_matches_fresh_grids(monkeypatch):
-    # every coefficient pass equals a pass over lambda_of_t on a fresh grid
-    # bit for bit. An infinite stabilization tolerance stops each call after
-    # its G and 2G passes, which keeps the critical couplings at t = 1000 to
-    # two small grids; k_max alternates so that later grids are strided views
-    # of a finer table.
+    # every coefficient pass equals a pass over lambda_of_t on a fresh
+    # half-period grid bit for bit, and the full-period pass it replaced to a
+    # few ulps. An infinite stabilization tolerance stops each call after its
+    # one pass on 2G, which keeps the critical couplings at t = 1000 to small
+    # grids; k_max alternates so that later grids are strided views of a
+    # finer table.
     rng = np.random.default_rng(2027)
     pairs = [_random_gapped_pair(rng) for _ in range(3)]
     pairs += [(gap_family(1.0), TrigPolynomial([1.0, 0.1])),
@@ -424,33 +517,83 @@ def test_sample_table_matches_fresh_grids(monkeypatch):
                            "b": bk_coeffs(lam, beta, t, k)}
                 if gapped:
                     results["sigma"], results["mu"] = mu_sigma(lam, beta, t, k)
-                assert len(passes) == 2 * len(results)
-                grid = 8192 if k == 300 else 16384
-                for (name, got), (pa, pb) in zip(results.items(),
-                                                 zip(passes[::2], passes[1::2])):
-                    assert (pa[:2], pb[:2]) == ((k, grid), (k, 2 * grid))
-                    for k_max, g, coeffs in (pa, pb):
-                        ref = _oracle_pass(oracles[name], k_max, g)
-                        assert coeffs.tobytes() == ref.tobytes(), (name, t, k, g)
+                assert len(passes) == len(results)
+                grid = 16384 if k == 300 else 32768
+                for (name, got), (k_max, g, out) in zip(results.items(), passes):
+                    assert (k_max, g) == (k, grid)
+                    assert _same_pass(out, _oracle_pass(oracles[name], k_max, g)), (name, t, k)
+                    _assert_matches_full_period(oracles[name], k_max, g, out[0])
                     scale = 0.5 if name in ("sigma", "mu") else 1.0
-                    assert got.tobytes() == (scale * pb[2]).tobytes()
-                assert spectrum_maximum(lam, beta, t) == _fresh_spectrum_maximum(lam, beta, t)
+                    assert got.tobytes() == (scale * out[0]).tobytes()
+                got = spectrum_maximum(lam, beta, t)
+                assert got == _fresh_spectrum_maximum(lam, beta, t)
+                full = _fresh_spectrum_maximum(lam, beta, t, period=1.0)
+                assert abs(got - full) <= 1e-14 * full, (t, got, full)
         szego._table = None
         assert spectrum_maximum(lam, beta, 3.0) == _fresh_spectrum_maximum(lam, beta, 3.0)
 
 
+DEEP_CASES = ((LAM15, TrigPolynomial([1.0, 0.1]), 1000.0, 300),
+              (gap_family(0.5), FLAT, 50.0, 300))
+
+
 def test_sample_table_deep_stabilization_matches_fresh_grids(monkeypatch):
-    # unpatched stabilization reaching 4G and 8G, where the coarse pass of
-    # each comparison is the even-index half of the grid sampled before
+    # unpatched stabilization reaching 4G and 8G: one pass per grid, each the
+    # pass of a fresh half-period grid
     passes = _recorded_passes(monkeypatch)
-    for lam, beta, t, k in ((LAM15, TrigPolynomial([1.0, 0.1]), 1000.0, 300),
-                            (gap_family(0.5), FLAT, 50.0, 300)):
+    for lam, beta, t, k in DEEP_CASES:
         log_symbol_coeffs(lam, beta, t, k)
-        assert [g for _, g, _ in passes][-1] >= 4 * 8192
-        for k_max, g, coeffs in passes:
-            ref = _oracle_pass(lambda th: -np.log(lambda_of_t(lam, beta, th, t)), k_max, g)
-            assert coeffs.tobytes() == ref.tobytes(), (t, g)
+        grids = [g for _, g, _ in passes]
+        assert grids[-1] >= 4 * 8192
+        assert grids == [grids[0] * 2 ** i for i in range(len(grids))]
+
+        def fn(th):
+            return -np.log(lambda_of_t(lam, beta, th, t))
+        for k_max, g, out in passes:
+            assert _same_pass(out, _oracle_pass(fn, k_max, g)), (t, g)
+            _assert_matches_full_period(fn, k_max, g, out[0])
         passes.clear()
+
+
+def _two_pass_grid(fn, k_max):
+    """The final grid of the full-period stabilization the alias test
+    replaced: each grid 2G is compared against its even-index half G."""
+    grid = szego._pow2_at_least(max(8192, 8 * (k_max + 1)))
+    prev = None
+    while grid <= szego._QUAD_CAP:
+        fine = fn(2.0 * np.pi * np.arange(2 * grid) / (2 * grid))
+        if prev is None:
+            prev = _full_period_pass(fine[::2], k_max, grid)
+        grid *= 2
+        cur = _full_period_pass(fine, k_max, grid)
+        if np.abs(cur - prev).max() <= szego._COEFF_STABLE_TOL:
+            return grid
+        prev = cur
+    raise AssertionError("the two-pass stabilization did not settle")
+
+
+def test_alias_stop_picks_the_two_pass_grid(monkeypatch):
+    # the aliased bins of one pass on 2G stop at the grid where the coarse
+    # and fine passes used to agree: the deep-stabilization cases and every
+    # k_max of a critical doubling trail
+    passes = _recorded_passes(monkeypatch)
+    cases = list(DEEP_CASES)
+    cases += [(gap_family(0.5), FLAT, 20.0, k) for k in (256, 512, 1024, 2048)]
+    for lam, beta, t, k in cases:
+        def fn(th):
+            return -np.log(lambda_of_t(lam, beta, th, t))
+        passes.clear()
+        got = log_symbol_coeffs(lam, beta, t, k)
+        assert passes[-1][1] == _two_pass_grid(fn, k), (t, k, [g for _, g, _ in passes])
+        _assert_matches_full_period(fn, k, passes[-1][1], got)
+
+
+def test_under_resolved_grid_raises(monkeypatch):
+    # gap c = 0.5 at t = 50 needs more than 16384 points; a cap that allows
+    # only that grid leaves it unresolved
+    monkeypatch.setattr(szego, "_QUAD_CAP", 8192)
+    with pytest.raises(QuadratureError, match="did not stabilize"):
+        log_symbol_coeffs(gap_family(0.5), FLAT, 50.0, 300)
 
 
 def _coefficient_bundle(lam, beta, t):
@@ -524,14 +667,18 @@ def _count_sampling(monkeypatch):
 
 def test_compute_row_samples_each_grid_once(monkeypatch):
     builds, evolved = _count_sampling(monkeypatch)
+    passes = _recorded_passes(monkeypatch)
     lam = gap_family(1.5)
     # c_k, b_k and the spectrum maximum share one table and one Lambda pass
+    # over its half period; c_k and b_k take one quadrature pass each
     compute_row(lam, TrigPolynomial([1.05, 0.05]), 32, 16, 3.0, None)
     grid = 2 * szego._pow2_at_least(max(8192, 8 * (default_k_max(lam, 3.0) + 1)))
-    assert builds == [grid] and evolved == [grid]
+    assert builds == [grid] and evolved == [grid // 2 + 1]
+    assert [g for _, g, _ in passes] == [grid, grid]
     # a later time point of the same pair samples only Lambda
     compute_row(lam, TrigPolynomial([1.05, 0.05]), 32, 16, 2.0, None)
-    assert builds == [grid] and evolved == [grid, grid]
+    assert builds == [grid] and evolved == [grid // 2 + 1, grid // 2 + 1]
+    assert [g for _, g, _ in passes] == [grid] * 4
 
 
 def test_quadrature_failure_releases_sample_table(monkeypatch):
@@ -552,5 +699,10 @@ def test_critical_retries_add_no_sample_pass(monkeypatch):
     # k = 256 stabilizes on 32768 points; the retries at k = 512 and 1024
     # read that same grid again
     assert {k for k, g, _ in passes if g == 32768} >= {256, 512, 1024}
-    assert evolved == sorted(set(evolved)) == builds
-    assert len(passes) > 2 * len(evolved)
+    assert evolved == sorted(set(evolved)) == [size // 2 + 1 for size in builds]
+    assert {g // 2 + 1 for _, g, _ in passes} == set(evolved)
+    # each k_max takes one pass per grid, doubling
+    for k in {k for k, _, _ in passes}:
+        grids = [g for kk, g, _ in passes if kk == k]
+        assert grids == [grids[0] * 2 ** i for i in range(len(grids))], (k, grids)
+    assert len(passes) > len(evolved)
