@@ -138,20 +138,25 @@ def _sample_table(lam: TrigPolynomial, beta: TrigPolynomial, grid: int) -> _Samp
     return table
 
 
-def _stabilized_cosine_coeffs(samples_at, k_max: int) -> np.ndarray:
+def _stabilized_cosine_coeffs(samples_at, k_max: int | None) -> np.ndarray:
     """Fourier coefficients with automatic grid doubling until they stabilize.
 
     `samples_at(grid)` gives the samples on a uniform half period. One pass on
     the grid 2G tests its aliased coefficients, so every grid is sampled and
-    transformed once. A grid that does not stabilize raises QuadratureError and
-    drops the module's sample table, which by then holds the largest grid.
+    transformed once. With k_max given, G starts at max(_QUAD_START, 8 (k_max + 1))
+    and the pass tests the bins G - k_max .. G; with k_max None, G starts at
+    _QUAD_START, the pass tests the bins G/2 .. G and the coefficients
+    0..G/2 it resolves are returned. A grid that does not stabilize raises
+    QuadratureError and drops the module's sample table, which by then holds
+    the largest grid.
     """
     global _table
-    if k_max < 0:
+    if k_max is not None and k_max < 0:
         raise ValueError("k_max must be non-negative")
-    grid = _pow2_at_least(max(_QUAD_START, 8 * (k_max + 1)))
+    grid = _QUAD_START if k_max is None else _pow2_at_least(max(_QUAD_START, 8 * (k_max + 1)))
     while grid <= _QUAD_CAP:
-        coeffs, alias = _cosine_coeffs_once(samples_at(2 * grid), k_max, 2 * grid)
+        k = grid // 2 if k_max is None else k_max
+        coeffs, alias = _cosine_coeffs_once(samples_at(2 * grid), k, 2 * grid)
         if alias <= _COEFF_STABLE_TOL:
             return coeffs
         grid *= 2
@@ -160,22 +165,17 @@ def _stabilized_cosine_coeffs(samples_at, k_max: int) -> np.ndarray:
         f"coefficients did not stabilize to {_COEFF_STABLE_TOL:g} below grid {_QUAD_CAP}")
 
 
-def _evolved_coeffs(lam: TrigPolynomial, beta: TrigPolynomial, t: float, k_max: int,
+def _evolved_coeffs(lam: TrigPolynomial, beta: TrigPolynomial, t: float, k_max: int | None,
                     transform) -> np.ndarray:
     """Stabilized coefficients of transform(Lambda(theta, t)), from the sample table."""
     return _stabilized_cosine_coeffs(
         lambda grid: transform(_sample_table(lam, beta, grid).evolved(t, grid)), k_max)
 
 
-def default_k_max(lam: TrigPolynomial, t: float) -> int:
-    """Cone-covering truncation for gapped couplings: ceil(4 v_g t) + 64."""
-    v_g = group_velocity_bound(lam)
-    return int(np.ceil(4.0 * v_g * abs(t))) + 64
-
-
 def log_symbol_coeffs(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
-                      k_max: int) -> np.ndarray:
-    """Coefficients c_k of ln Lambda^{-1}(theta, t), k = 0..k_max."""
+                      k_max: int | None) -> np.ndarray:
+    """Coefficients c_k of ln Lambda^{-1}(theta, t), k = 0..k_max, or every
+    coefficient the stabilised grid resolves when k_max is None."""
     return _evolved_coeffs(lam, beta, t, k_max, lambda vals: -np.log(vals))
 
 
@@ -193,16 +193,16 @@ def szego_sum(c: np.ndarray) -> float:
     return total
 
 
-def _resolved_sum(coeffs_at, lam: TrigPolynomial, t: float, k_max: int | None) -> float:
+def _resolved_sum(coeffs_at, lam: TrigPolynomial, k_max: int | None) -> float:
     """The tail-checked `szego_sum` of the coefficients `coeffs_at(k)` at the
     resolved truncation k.
 
-    k is k_max when given; otherwise the cone-covering default for a gapped
-    coupling; otherwise (critical) doubled from 256 while the tail criterion
-    fails, up to _QUAD_CAP // 8.
+    k is k_max when given. Without it, a gapped coupling passes None, which
+    keeps every coefficient the stabilised grid resolves, and a critical one
+    doubles k from 256 while the tail criterion fails, up to _QUAD_CAP // 8.
     """
     if k_max is not None or not is_critical(lam):
-        return szego_sum(coeffs_at(default_k_max(lam, t) if k_max is None else k_max))
+        return szego_sum(coeffs_at(k_max))
     k = 256
     while True:
         coeffs = coeffs_at(k)
@@ -219,10 +219,10 @@ def szego_sum_for(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
                   k_max: int | None = None) -> float:
     """Szego-bound value with truncation resolved automatically.
 
-    Gapped couplings take the cone-covering default; critical ones grow k_max
-    until the tail criterion is satisfied.
+    Gapped couplings sum every coefficient the stabilised quadrature grid
+    resolves; critical ones grow k_max until the tail criterion is satisfied.
     """
-    return _resolved_sum(lambda k: log_symbol_coeffs(lam, beta, t, k), lam, t, k_max)
+    return _resolved_sum(lambda k: log_symbol_coeffs(lam, beta, t, k), lam, k_max)
 
 
 def parseval_check(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
@@ -262,8 +262,9 @@ def parseval_check(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
 
 
 def bk_coeffs(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
-              k_max: int) -> np.ndarray:
-    """Coefficients b_k of the inverse evolved spectrum Lambda^{-1}(theta, t)."""
+              k_max: int | None) -> np.ndarray:
+    """Coefficients b_k of the inverse evolved spectrum Lambda^{-1}(theta, t),
+    k = 0..k_max, or every coefficient the stabilised grid resolves when k_max is None."""
     return _evolved_coeffs(lam, beta, t, k_max, lambda vals: 1.0 / vals)
 
 
@@ -322,7 +323,7 @@ def bk_bound(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
     couplings; the chain check therefore lives with the callers that know the
     coupling is gapped.
     """
-    partial = _resolved_sum(lambda k: bk_coeffs(lam, beta, t, k), lam, t, k_max)
+    partial = _resolved_sum(lambda k: bk_coeffs(lam, beta, t, k), lam, k_max)
     M = spectrum_maximum(lam, beta, t)
     return partial / (M * M)
 

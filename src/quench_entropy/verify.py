@@ -261,9 +261,10 @@ def _szego_family(quick: bool) -> _Family:
         worst = 0.0
         for _ in range(3 if quick else 8):
             lam_r, beta_r, _, t = _random_gapped_instance(rng)
-            k = szego.default_k_max(lam_r, min(t, 5.0))
-            b = szego.bk_coeffs(lam_r, beta_r, min(t, 5.0), k)
-            sig, mu = szego.mu_sigma(lam_r, beta_r, min(t, 5.0), k)
+            t = min(t, 5.0)
+            k = int(np.ceil(4.0 * spectral.group_velocity_bound(lam_r) * t)) + 64
+            b = szego.bk_coeffs(lam_r, beta_r, t, k)
+            sig, mu = szego.mu_sigma(lam_r, beta_r, t, k)
             worst = max(worst, float(np.abs(b - sig - mu).max()))
         return worst < 1e-10, f"worst recombination defect {worst:.3g}"
     fam.run("static_traveling_split", recombination)

@@ -16,7 +16,6 @@ from quench_entropy import (CriticalSymbolError, SpectralSpecError,
                             parse_spectral_spec)
 from quench_entropy.spectral import (format_spectral_spec, require_nonnegative,
                                      require_positive)
-from quench_entropy.szego import default_k_max
 
 
 def test_parse_poly_and_gap_formats():
@@ -235,7 +234,6 @@ def test_extrema_scanned_once_per_instance(monkeypatch):
         assert not is_critical(lam)
         require_positive(lam)
         assert abs(group_velocity_bound(lam) - 25.0) < 1e-9
-        default_k_max(lam, 1.0)
     assert len(calls) == 1  # one solve gives the minimum and the maximum
     is_critical(gap_family(1.5))  # a new instance solves again
     assert len(calls) == 2

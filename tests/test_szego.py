@@ -10,6 +10,8 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quench_entropy import szego
 from quench_entropy import (CriticalSymbolError, QuadratureError, TailCriterionError,
@@ -19,13 +21,18 @@ from quench_entropy import (CriticalSymbolError, QuadratureError, TailCriterionE
                             parseval_check, szego_sum, szego_sum_for)
 from quench_entropy.evolution import lambda_of_t
 from quench_entropy.pipeline import compute_row
-from quench_entropy.spectral import _refine_minimum
-from quench_entropy.szego import default_k_max, spectrum_maximum
+from quench_entropy.spectral import _refine_minimum, group_velocity_bound
+from quench_entropy.szego import spectrum_maximum
 
 LAM15 = gap_family(1.5)
 FLAT = TrigPolynomial([1.0])
 POISSON_BETA = TrigPolynomial([2.0, -1.0])
 R_POISSON = 2.0 - np.sqrt(3.0)
+
+
+def _cone_k_max(lam, t):
+    """A truncation covering the light cone of a gapped coupling: ceil(4 v_g t) + 64."""
+    return int(np.ceil(4.0 * group_velocity_bound(lam) * t)) + 64
 
 
 def test_log_coeffs_uncoupled_theta_independent():
@@ -169,7 +176,7 @@ def test_bk_recombines_from_split():
         lam = gap_family(c)
         beta = TrigPolynomial([float(rng.uniform(0.7, 1.5))])
         t = float(rng.uniform(0.0, 4.0))
-        k = default_k_max(lam, t)
+        k = _cone_k_max(lam, t)
         b = bk_coeffs(lam, beta, t, k)
         sigma, mu = mu_sigma(lam, beta, t, k)
         assert np.abs(b - sigma - mu).max() < 1e-10
@@ -231,11 +238,56 @@ def test_bk_below_szego_sampled():
         assert s - b >= -1e-9, (t, s, b)
 
 
-def test_default_k_max_grows_linearly():
-    k1 = default_k_max(LAM15, 1.0)
-    k2 = default_k_max(LAM15, 2.0)
-    assert 164 <= k1 <= 166
-    assert 99 <= k2 - k1 <= 102
+@st.composite
+def _gapped_symbol(draw, lo, hi):
+    """Degree <= 3 cosine polynomial with a0 in [lo, hi] and min >= a0 / 10."""
+    a0 = draw(st.floats(lo, hi))
+    deg = draw(st.integers(0, 3))
+    rest = [0.9 * a0 * draw(st.floats(-1.0, 1.0)) / max(deg, 1) for _ in range(deg)]
+    return TrigPolynomial([a0, *rest])
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(lam=st.one_of(_gapped_symbol(0.5, 3.0), st.floats(1.05, 3.0).map(gap_family)),
+       beta=_gapped_symbol(0.5, 2.0), t=st.floats(0.0, 50.0))
+def test_resolved_sums_match_cone_covering_truncation(lam, beta, t):
+    # the sums over every coefficient the stabilised grid resolves are those
+    # at the cone-covering truncation ceil(4 v_g t) + 64, on its own grid,
+    # plus the terms past it. On squeezed widths the coefficients outlast that
+    # truncation: it drops 4.8e-10 of the sum at gap c = 2.68, beta =
+    # 0.5 - 0.45 cos, t = 22.5, or fails its own tail criterion.
+    k = _cone_k_max(lam, t)
+    for fn, coeffs_at in ((szego_sum_for, log_symbol_coeffs), (bk_bound, bk_coeffs)):
+        auto = fn(lam, beta, t)
+        try:
+            cone = fn(lam, beta, t, k)
+        except TailCriterionError:
+            continue
+        c = coeffs_at(lam, beta, t, None)
+        dropped = np.sum(np.arange(k + 1, c.size) * c[k + 1:] ** 2)
+        # bk_bound divides its partial sum by max Lambda^2
+        scale = 1.0 if fn is szego_sum_for else spectrum_maximum(lam, beta, t) ** -2
+        assert (abs(auto - scale * dropped - cone)
+                <= 1e-13 * cone + scale * szego._TAIL_ABS), (fn.__name__, auto, cone)
+
+
+def test_resolved_sum_outlasts_cone_covering_truncation():
+    # the squeezed width beta = 0.5 + 0.45 cos keeps coefficients past
+    # ceil(4 v_g t) + 64 = 352 that fail that truncation's tail criterion;
+    # the resolved sum is that of a truncation at 1024, to rounding
+    lam, beta = gap_family(2.0), TrigPolynomial([0.5, 0.45])
+    with pytest.raises(TailCriterionError):
+        szego_sum_for(lam, beta, 4.0, _cone_k_max(lam, 4.0))
+    ref = szego_sum_for(lam, beta, 4.0, 1024)
+    assert abs(szego_sum_for(lam, beta, 4.0) - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("c", [1.001, 1.01])
+def test_near_gap_sum_resolves(c):
+    # a cone-covering truncation ceil(4 v_g t) + 64 puts the first grid of
+    # gap c = 1.001 at t = 50 above the quadrature cap; 16384 points resolve it
+    value = szego_sum_for(gap_family(c), FLAT, 50.0)
+    assert np.isfinite(value) and value > 0.0
 
 
 def test_light_cone_edges_within_bound():
@@ -604,7 +656,7 @@ def _coefficient_bundle(lam, beta, t):
         k = 2048
         split = ()
     else:
-        k = default_k_max(lam, t)
+        k = _cone_k_max(lam, t)
         split = mu_sigma(lam, beta, t, k)
     return (log_symbol_coeffs(lam, beta, t, k), bk_coeffs(lam, beta, t, k), *split,
             spectrum_maximum(lam, beta, t))
@@ -671,14 +723,35 @@ def test_compute_row_samples_each_grid_once(monkeypatch):
     lam = gap_family(1.5)
     # c_k, b_k and the spectrum maximum share one table and one Lambda pass
     # over its half period; c_k and b_k take one quadrature pass each
-    compute_row(lam, TrigPolynomial([1.05, 0.05]), 32, 16, 3.0, None)
-    grid = 2 * szego._pow2_at_least(max(8192, 8 * (default_k_max(lam, 3.0) + 1)))
+    compute_row(lam, TrigPolynomial([1.05, 0.05]), 32, 16, 3.0, _cone_k_max(lam, 3.0))
+    grid = 2 * szego._pow2_at_least(max(8192, 8 * (_cone_k_max(lam, 3.0) + 1)))
     assert builds == [grid] and evolved == [grid // 2 + 1]
     assert [g for _, g, _ in passes] == [grid, grid]
     # a later time point of the same pair samples only Lambda
-    compute_row(lam, TrigPolynomial([1.05, 0.05]), 32, 16, 2.0, None)
+    compute_row(lam, TrigPolynomial([1.05, 0.05]), 32, 16, 2.0, _cone_k_max(lam, 2.0))
     assert builds == [grid] and evolved == [grid // 2 + 1, grid // 2 + 1]
     assert [g for _, g, _ in passes] == [grid] * 4
+
+
+def test_resolved_row_samples_one_grid(monkeypatch):
+    # the resolved sums at t = 50 take one pass each on one 16384-point
+    # table, where the cone-covering k = 5064 would start on 131072 points
+    builds, evolved = _count_sampling(monkeypatch)
+    passes = _recorded_passes(monkeypatch)
+    compute_row(LAM15, TrigPolynomial([1.05, 0.05]), 32, 16, 50.0, None)
+    assert builds == [16384] and evolved == [8193]
+    assert [(k, g) for k, g, _ in passes] == [(4096, 16384)] * 2
+
+
+def test_under_resolved_grid_raises_without_k_max(monkeypatch):
+    # gap c = 1.5 at t = 1000 needs 131072 points; a cap that allows only the
+    # first grid leaves the resolved sum unresolved, and the table is dropped
+    builds, _ = _count_sampling(monkeypatch)
+    monkeypatch.setattr(szego, "_QUAD_CAP", 8192)
+    with pytest.raises(QuadratureError, match="did not stabilize"):
+        szego_sum_for(LAM15, FLAT, 1000.0)
+    assert builds == [16384]
+    assert szego._table is None
 
 
 def test_quadrature_failure_releases_sample_table(monkeypatch):
