@@ -90,16 +90,11 @@ def lambda_of_t(lam: TrigPolynomial, beta: TrigPolynomial, theta, t):
     lv = np.asarray(evaluate(lam, th), dtype=float)
     bv = np.asarray(evaluate(beta, th), dtype=float)
     # symbols certified non-negative upstream; clamp rounding dust at a touch point
-    lv = np.maximum(lv, 0.0)
-    out = _evolved_width(bv, np.sqrt(lv), t)
-    return float(out) if out.ndim == 0 else out
-
-
-def _evolved_width(bv, root, t):
-    """`lambda_of_t` from the samples beta and sqrt(max(lambda, 0)) at one time."""
+    root = np.sqrt(np.maximum(lv, 0.0))
     c = np.cos(t * root)
     ts = t * np.sinc(t * root / np.pi)
-    return bv / (c * c + (bv * ts) ** 2)
+    out = bv / (c * c + (bv * ts) ** 2)
+    return float(out) if out.ndim == 0 else out
 
 
 def short_time_lambda(lam: TrigPolynomial, beta: TrigPolynomial, theta, t):

@@ -53,10 +53,8 @@ class ScenarioConfig:
     jobs: int = 1
     # the validated (lambda, beta) instances, so their extrema are scanned once
     _symbols: tuple = dataclasses.field(init=False, repr=False, compare=False)
-    # a validated config whose symbols are reused for the specs it shares
-    _reuse: dataclasses.InitVar["ScenarioConfig | None"] = None
 
-    def __post_init__(self, _reuse):
+    def __post_init__(self):
         if self.N < 2:
             raise ValueError(f"N={self.N} too small")
         cut = self.cut()
@@ -74,13 +72,10 @@ class ScenarioConfig:
         if self.jobs < 1:
             raise ValueError(f"jobs={self.jobs} must be at least 1")
         # parse eagerly so config errors surface before any computation
-        lam, beta = _reuse.symbols() if _reuse is not None else (None, None)
-        if lam is None or _reuse.lambda_spec != self.lambda_spec:
-            lam = parse_spectral_spec(self.lambda_spec)
-            require_nonnegative(lam, "coupling spectrum (lambda)")
-        if beta is None or _reuse.beta_spec != self.beta_spec:
-            beta = parse_spectral_spec(self.beta_spec)
-            require_positive(beta, "initial width spectrum (beta)")
+        lam = parse_spectral_spec(self.lambda_spec)
+        require_nonnegative(lam, "coupling spectrum (lambda)")
+        beta = parse_spectral_spec(self.beta_spec)
+        require_positive(beta, "initial width spectrum (beta)")
         if self.N <= 2 * max(lam.degree, beta.degree):
             raise ValueError(
                 f"N={self.N} must exceed twice the symbol degree "
@@ -138,6 +133,9 @@ def config_from_dict(d: dict) -> ScenarioConfig:
         raise SpectralSpecError(f"unknown config keys: {sorted(unknown)}")
     if "lambda" not in d:
         raise SpectralSpecError("config needs a lambda spectral spec")
+    for key in ("N", "n", "steps", "kmax", "jobs", "t0", "t1"):
+        if isinstance(d.get(key), bool):
+            raise SpectralSpecError(f"{key} must be a number, got {d[key]!r}")
     kmax = d.get("kmax")
     if isinstance(kmax, str):
         if kmax == "auto":
@@ -333,7 +331,7 @@ SWEEP_PARAMS = ("c", "N", "n", "t1")
 
 
 def _sweep_config(base: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
-    """base with one parameter swept; only a changed spec is parsed and scanned."""
+    """base with one parameter swept, validated afresh."""
     if param == "c":
         change = {"lambda_spec": f"gap:c={value}"}
     elif param in ("N", "n"):
@@ -344,7 +342,7 @@ def _sweep_config(base: ScenarioConfig, param: str, value: float) -> ScenarioCon
         change = {"t1": float(value)}
     else:
         raise ValueError(f"unknown sweep parameter {param!r}")
-    return dataclasses.replace(base, **change, _reuse=base)
+    return dataclasses.replace(base, **change)
 
 
 def run_sweep(base: ScenarioConfig, param: str, values) -> str:

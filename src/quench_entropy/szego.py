@@ -11,9 +11,8 @@ smooth periodic integrands, and a grid doubles until its aliased coefficients ar
 * the momentum-coefficient bound sum k b_k^2 / M^2,
 * least-squares growth fits (linear window and short-time quadratic).
 
-The quadratures and the spectrum maximum read their samples from one shared
-table per symbol pair (`_sample_table`), so each grid is sampled once and
-reused across coefficient kinds, k_max retries and later time points.
+The coefficients and the spectrum maximum at one time read Lambda from a
+one-entry cache (`_evolved_samples`), so each grid is sampled once for them all.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import dataclasses
 import numpy as np
 
 from .errors import CriticalSymbolError, QuadratureError, TailCriterionError
-from .evolution import _evolved_width, lambda_of_t
+from .evolution import lambda_of_t
 from .spectral import (TrigPolynomial, _refine_minimum, evaluate, group_velocity_bound,
                        is_critical)
 
@@ -83,59 +82,27 @@ def _cosine_coeffs_once(samples, k_max: int, grid: int):
     return (spec[: k_max + 1] / grid).real, alias
 
 
-class _SampleTable:
-    """Samples of one (lambda, beta) pair on the half period of a `size`-point grid.
+def _half_period(grid: int) -> np.ndarray:
+    """The angles 2 pi j / grid, j = 0..grid/2."""
+    return 2.0 * np.pi * np.arange(grid // 2 + 1) / grid
 
-    At the angles 2 pi j / size, j = 0..size/2, it keeps the time-independent
-    max(lambda, 0), beta and sqrt(max(lambda, 0)) and Lambda(theta, t) for the
-    last time asked for. Every power-of-two grid below `size` is a strided view:
-    its angles 2 pi j / grid have the same bits as the even-index angles of the
-    grid twice as fine, so a view gives the bits a fresh grid would.
+
+_evolved: tuple | None = None  # ((lambda bytes, beta bytes, t, grid), Lambda samples)
+
+
+def _evolved_samples(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
+                     grid: int) -> np.ndarray:
+    """Lambda(theta, t) from `lambda_of_t` on the `grid`-point half period.
+
+    The last call's samples are kept, so c_k, b_k and the `spectrum_maximum`
+    scan at one time share one sampling of each grid.
     """
-
-    def __init__(self, lam: TrigPolynomial, beta: TrigPolynomial, size: int):
-        theta = 2.0 * np.pi * np.arange(size // 2 + 1) / size
-        self.key = _pair_key(lam, beta)
-        self.size = size
-        self.lam = np.maximum(np.asarray(evaluate(lam, theta), dtype=float), 0.0)
-        self.beta = np.asarray(evaluate(beta, theta), dtype=float)
-        self.root = np.sqrt(self.lam)
-        self._evolved = (None, 1, None)  # (t, grid, Lambda samples)
-
-    def symbols(self, grid: int):
-        """max(lambda, 0), beta and its square root on the `grid`-point half period."""
-        step = self.size // grid
-        return self.lam[::step], self.beta[::step], self.root[::step]
-
-    def evolved(self, t: float, grid: int) -> np.ndarray:
-        """Lambda(theta, t) on the `grid`-point half period, as `lambda_of_t` gives it."""
-        last_t, last_grid, vals = self._evolved
-        if last_t != t or last_grid % grid:
-            _, bv, root = self.symbols(grid)
-            vals = _evolved_width(bv, root, t)
-            self._evolved = (t, grid, vals)
-            last_grid = grid
-        return vals[::last_grid // grid]
-
-
-_table: _SampleTable | None = None
-
-
-def _pair_key(lam: TrigPolynomial, beta: TrigPolynomial) -> tuple:
-    return lam.coeffs.tobytes(), beta.coeffs.tobytes()
-
-
-def _sample_table(lam: TrigPolynomial, beta: TrigPolynomial, grid: int) -> _SampleTable:
-    """The module's sample table for (lam, beta), covering the `grid`-point grid.
-
-    It holds one pair at a time: a new pair, or a grid the table does not
-    divide, replaces it, so its size stays that of the finest grid in use.
-    """
-    global _table
-    table = _table
-    if table is None or table.key != _pair_key(lam, beta) or table.size % grid:
-        table = _table = _SampleTable(lam, beta, grid)
-    return table
+    global _evolved
+    key = (lam.coeffs.tobytes(), beta.coeffs.tobytes(), t, grid)
+    if _evolved is None or _evolved[0] != key:
+        _evolved = None  # free the old samples first: one array at a time
+        _evolved = (key, lambda_of_t(lam, beta, _half_period(grid), t))
+    return _evolved[1]
 
 
 def _stabilized_cosine_coeffs(samples_at, k_max: int | None) -> np.ndarray:
@@ -147,10 +114,10 @@ def _stabilized_cosine_coeffs(samples_at, k_max: int | None) -> np.ndarray:
     and the pass tests the bins G - k_max .. G; with k_max None, G starts at
     _QUAD_START, the pass tests the bins G/2 .. G and the coefficients
     0..G/2 it resolves are returned. A grid that does not stabilize raises
-    QuadratureError and drops the module's sample table, which by then holds
-    the largest grid.
+    QuadratureError and drops the cached Lambda samples, which by then are
+    those of the largest grid.
     """
-    global _table
+    global _evolved
     if k_max is not None and k_max < 0:
         raise ValueError("k_max must be non-negative")
     grid = _QUAD_START if k_max is None else _pow2_at_least(max(_QUAD_START, 8 * (k_max + 1)))
@@ -160,16 +127,16 @@ def _stabilized_cosine_coeffs(samples_at, k_max: int | None) -> np.ndarray:
         if alias <= _COEFF_STABLE_TOL:
             return coeffs
         grid *= 2
-    _table = None
+    _evolved = None
     raise QuadratureError(
         f"coefficients did not stabilize to {_COEFF_STABLE_TOL:g} below grid {_QUAD_CAP}")
 
 
 def _evolved_coeffs(lam: TrigPolynomial, beta: TrigPolynomial, t: float, k_max: int | None,
                     transform) -> np.ndarray:
-    """Stabilized coefficients of transform(Lambda(theta, t)), from the sample table."""
+    """Stabilized coefficients of transform(Lambda(theta, t))."""
     return _stabilized_cosine_coeffs(
-        lambda grid: transform(_sample_table(lam, beta, grid).evolved(t, grid)), k_max)
+        lambda grid: transform(_evolved_samples(lam, beta, t, grid)), k_max)
 
 
 def log_symbol_coeffs(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
@@ -197,19 +164,23 @@ def _resolved_sum(coeffs_at, lam: TrigPolynomial, k_max: int | None) -> float:
     """The tail-checked `szego_sum` of the coefficients `coeffs_at(k)` at the
     resolved truncation k.
 
-    k is k_max when given. Without it, a gapped coupling passes None, which
-    keeps every coefficient the stabilised grid resolves, and a critical one
-    doubles k from 256 while the tail criterion fails, up to _QUAD_CAP // 8.
+    k is k_max when given. Without it, `coeffs_at(None)` gives every
+    coefficient the stabilised grid resolves: a gapped coupling sums them
+    all, and a critical one sums its first k + 1, k doubling from 256 while
+    the tail criterion fails and while they last. When none meets it, the
+    QuadratureError drops the cached Lambda samples.
     """
+    global _evolved
+    coeffs = coeffs_at(k_max)
     if k_max is not None or not is_critical(lam):
-        return szego_sum(coeffs_at(k_max))
+        return szego_sum(coeffs)
     k = 256
     while True:
-        coeffs = coeffs_at(k)
         try:
-            return szego_sum(coeffs)
+            return szego_sum(coeffs[: k + 1])
         except TailCriterionError as exc:
-            if 2 * k > _QUAD_CAP // 8:
+            if 2 * k >= coeffs.size:
+                _evolved = None
                 raise QuadratureError(
                     f"tail criterion still unmet at k_max={k}") from exc
             k *= 2
@@ -220,7 +191,8 @@ def szego_sum_for(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
     """Szego-bound value with truncation resolved automatically.
 
     Gapped couplings sum every coefficient the stabilised quadrature grid
-    resolves; critical ones grow k_max until the tail criterion is satisfied.
+    resolves; critical ones sum the shortest doubling of 256 of them that
+    meets the tail criterion.
     """
     return _resolved_sum(lambda k: log_symbol_coeffs(lam, beta, t, k), lam, k_max)
 
@@ -285,9 +257,9 @@ def mu_sigma(lam: TrigPolynomial, beta: TrigPolynomial, t: float, k_max: int):
     """
     _require_gapped(lam, "the static/traveling coefficient split")
 
-    # lambda > 0 on a gapped coupling, so the table's max(lambda, 0) is lambda
     def sample_sigma(grid):
-        lv, bv, _ = _sample_table(lam, beta, grid).symbols(grid)
+        theta = _half_period(grid)
+        lv, bv = evaluate(lam, theta), evaluate(beta, theta)
         return (lv + bv * bv) / (bv * lv)
 
     sigma = 0.5 * _stabilized_cosine_coeffs(sample_sigma, k_max)
@@ -298,15 +270,16 @@ def _mu_coeffs(lam: TrigPolynomial, beta: TrigPolynomial, t: float, k_max: int) 
     """The traveling coefficients mu_k(t) of `mu_sigma`, for a gapped coupling."""
 
     def sample_mu(grid):
-        lv, bv, root = _sample_table(lam, beta, grid).symbols(grid)
-        return (lv - bv * bv) * np.cos(2.0 * t * root) / (bv * lv)
+        theta = _half_period(grid)
+        lv, bv = evaluate(lam, theta), evaluate(beta, theta)
+        return (lv - bv * bv) * np.cos(2.0 * t * np.sqrt(lv)) / (bv * lv)
 
     return 0.5 * _stabilized_cosine_coeffs(sample_mu, k_max)
 
 
 def spectrum_maximum(lam: TrigPolynomial, beta: TrigPolynomial, t: float) -> float:
     """max_theta Lambda(theta, t): half-period scan plus bounded local refinement."""
-    vals = _sample_table(lam, beta, _MAXIMUM_GRID).evolved(t, _MAXIMUM_GRID)
+    vals = _evolved_samples(lam, beta, t, _MAXIMUM_GRID)
     i = int(np.argmax(vals))
     theta_i = 2.0 * np.pi * i / _MAXIMUM_GRID
     h = 2.0 * np.pi / _MAXIMUM_GRID

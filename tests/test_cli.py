@@ -87,6 +87,19 @@ def test_evolve_deterministic_and_jobs_invariant():
     assert first.stdout == parallel.stdout
 
 
+def test_critical_rows_jobs_invariant():
+    # each critical row runs its own quadrature, so a worker's rows match
+    # those of one process, and those of a fresh in-process call
+    args = ("evolve", "--lambda", "gap:c=0.5", "-N", "16", "--steps", "3", "--t1", "50.0")
+    serial = run_cli(*args)
+    parallel = run_cli(*args, "--jobs", "2")
+    assert serial.returncode == 0 and serial.stdout == parallel.stdout
+    _, rows = parse_csv(serial.stdout)
+    lam, beta = gap_family(0.5), TrigPolynomial([1.0])
+    for row in rows[::-1]:
+        assert row[4] == szego_sum_for(lam, beta, row[0])
+
+
 def test_pool_has_no_more_workers_than_rows(monkeypatch, capsys):
     import concurrent.futures
 
@@ -347,12 +360,11 @@ def test_row_args_adds_no_scan(monkeypatch):
     assert args[0][:2] == config.symbols()
 
 
-@pytest.mark.parametrize("param, values, per_value", [
-    ("t1", (2.0, 3.0, 4.0), 0), ("N", (16, 24, 40), 0), ("n", (3, 5, 7), 0),
-    ("c", (1.2, 2.0, 3.0), 1)])
-def test_sweep_parses_only_the_swept_spec(monkeypatch, param, values, per_value):
-    # a sweep reuses the base config's validated symbols; only a swept
-    # coupling is parsed and solved again
+@pytest.mark.parametrize("param, values", [
+    ("t1", (2.0, 3.0, 4.0)), ("N", (16, 24, 40)), ("n", (3, 5, 7)), ("c", (1.2, 2.0, 3.0))])
+def test_sweep_validates_each_value_once(monkeypatch, param, values):
+    # each swept value's config parses and solves both its specs, as one
+    # built by hand does, and building its rows solves nothing more
     calls = []
     real = spectral._solve_extrema
 
@@ -364,13 +376,11 @@ def test_sweep_parses_only_the_swept_spec(monkeypatch, param, values, per_value)
     base = pipeline.ScenarioConfig(LAM15, "poly:1.05,0.05", N=32, steps=2, t1=1.0)
     assert len(calls) == 2
     configs = [pipeline._sweep_config(base, param, v) for v in values]
-    assert len(calls) == 2 + per_value * len(values)
+    assert len(calls) == 2 + 2 * len(values)
     text = pipeline.run_sweep(base, param, values)
-    assert len(calls) == 2 + 2 * per_value * len(values)
+    assert len(calls) == 2 + 4 * len(values)
     assert len(text.splitlines()) == 1 + 2 * len(values)
     for cfg in configs:
-        assert cfg.symbols()[1] is base.symbols()[1]
-        assert (cfg.symbols()[0] is base.symbols()[0]) == (param != "c")
         assert cfg == pipeline.ScenarioConfig(cfg.lambda_spec, cfg.beta_spec, N=cfg.N, n=cfg.n,
                                               steps=2, t1=cfg.t1)
 
@@ -403,6 +413,22 @@ def test_config_rejects_non_integral_values(key):
     config = pipeline.config_from_dict({"lambda": LAM15, key: 12.0})
     assert {"N": config.N, "n": config.n, "steps": config.steps, "jobs": config.jobs,
             "kmax": config.k_max}[key] == 12
+
+
+@pytest.mark.parametrize("key", ["N", "n", "steps", "kmax", "jobs", "t0", "t1"])
+def test_config_rejects_boolean_values(key):
+    # JSON true would otherwise be read as 1
+    for val in (True, False):
+        with pytest.raises(quench_entropy.SpectralSpecError, match=f"{key} must be a number"):
+            pipeline.config_from_dict({"lambda": LAM15, key: val})
+
+
+def test_config_file_with_boolean_kmax_exits_two(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"lambda": LAM15, "N": 16, "kmax": True}))
+    assert cli.main(["evolve", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "kmax must be a number, got True" in err
 
 
 def test_config_file_with_fractional_values_exits_two(tmp_path):

@@ -6,8 +6,6 @@ every coefficient of both the inverse spectrum and its logarithm analytically.
 The quadrature has no business missing those by more than rounding.
 """
 
-import gc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -335,20 +333,27 @@ def test_light_cone_rejects_critical():
         light_cone_profile(gap_family(0.5), FLAT, (1.0,))
 
 
-def _critical_k_max_trail(monkeypatch, lam, t):
-    """The k_max values szego_sum_for tries for a critical coupling, after
-    checking its sum against the coefficients at the last of them."""
-    calls = []
-    real = szego.log_symbol_coeffs
+def _critical_k_max_trail(monkeypatch, lam, t, beta=FLAT):
+    """The truncations k szego_sum_for tries for a critical coupling, after
+    checking that it ran one quadrature, for every resolved coefficient, and
+    that its sum is that of the first k + 1 of them at the last k."""
+    quadratures, trail = [], []
+    real_quadrature = szego._stabilized_cosine_coeffs
 
-    def recording(lam, beta, t, k_max):
-        calls.append(k_max)
-        return real(lam, beta, t, k_max)
+    def quadrature(samples_at, k_max):
+        quadratures.append(k_max)
+        return real_quadrature(samples_at, k_max)
 
-    monkeypatch.setattr(szego, "log_symbol_coeffs", recording)
-    value = szego_sum_for(lam, FLAT, t)
-    assert value == szego_sum(real(lam, FLAT, t, calls[-1]))
-    return calls
+    def recording_sum(c):
+        trail.append(len(c) - 1)
+        return szego_sum(c)
+
+    monkeypatch.setattr(szego, "_stabilized_cosine_coeffs", quadrature)
+    monkeypatch.setattr(szego, "szego_sum", recording_sum)
+    value = szego_sum_for(lam, beta, t)
+    assert quadratures == [None]
+    assert value == szego_sum(log_symbol_coeffs(lam, beta, t, None)[: trail[-1] + 1])
+    return trail
 
 
 def test_fourier_series_critical_skips_split(monkeypatch):
@@ -366,6 +371,19 @@ def test_fourier_series_critical_truncation_is_tail_checked(monkeypatch):
             == [256, 512, 1024, 2048])
 
 
+@pytest.mark.parametrize("lam, beta, t, k", [
+    (gap_family(0.5), FLAT, 20.0, 2048),
+    (gap_family(0.5), FLAT, 50.0, 8192),
+    # stops where c_2048 = 7e-8 although |c_k| reaches 4.6e-4 past it: the
+    # tail criterion reads the last kept term only (ROADMAP item 3)
+    (gap_family(1.0), TrigPolynomial([1.0, 0.1]), 150.0, 2048)],
+    ids=["c0.5-t20", "c0.5-t50", "c1.0-t150"])
+def test_critical_sum_slices_one_quadrature(monkeypatch, lam, beta, t, k):
+    # the doubling slices the coefficients of one stabilised quadrature
+    trail = _critical_k_max_trail(monkeypatch, lam, t, beta)
+    assert trail[-1] == k and trail == [256 * 2 ** i for i in range(len(trail))]
+
+
 def test_critical_retry_frozen_values():
     lam = gap_family(0.5)
     for fn, ref in ((szego_sum_for, 9.336997995572034),
@@ -375,10 +393,13 @@ def test_critical_retry_frozen_values():
 
 def test_bk_bound_critical_retry_cap(monkeypatch):
     # coefficients whose tail never becomes negligible exhaust the doubling
-    monkeypatch.setattr(szego, "bk_coeffs", lambda lam, beta, t, k: np.ones(k + 1))
-    with pytest.raises(QuadratureError, match="still unmet at k_max=1048576") as exc_info:
+    # at the last one resolved, and the cached samples are dropped
+    monkeypatch.setattr(szego, "bk_coeffs", lambda lam, beta, t, k: np.ones(4097))
+    szego_sum_for(LAM15, FLAT, 1.0)
+    with pytest.raises(QuadratureError, match="still unmet at k_max=4096") as exc_info:
         bk_bound(gap_family(0.5), FLAT, 1.0)
     assert isinstance(exc_info.value.__cause__, TailCriterionError)
+    assert szego._evolved is None
 
 
 def test_fit_linear_exact_line():
@@ -441,7 +462,7 @@ def test_fit_quadratic_degenerate_cases():
 
 
 # ---------------------------------------------------------------------------
-# the shared sample table: same bits as fresh grids, whatever the call history
+# the cached samples: same bits as fresh grids, whatever the call history
 # ---------------------------------------------------------------------------
 
 ORACLE_PASS = szego._cosine_coeffs_once
@@ -542,8 +563,7 @@ def test_sample_table_matches_fresh_grids(monkeypatch):
     # half-period grid bit for bit, and the full-period pass it replaced to a
     # few ulps. An infinite stabilization tolerance stops each call after its
     # one pass on 2G, which keeps the critical couplings at t = 1000 to small
-    # grids; k_max alternates so that later grids are strided views of a
-    # finer table.
+    # grids; k_max alternates between two grids.
     rng = np.random.default_rng(2027)
     pairs = [_random_gapped_pair(rng) for _ in range(3)]
     pairs += [(gap_family(1.0), TrigPolynomial([1.0, 0.1])),
@@ -581,7 +601,7 @@ def test_sample_table_matches_fresh_grids(monkeypatch):
                 assert got == _fresh_spectrum_maximum(lam, beta, t)
                 full = _fresh_spectrum_maximum(lam, beta, t, period=1.0)
                 assert abs(got - full) <= 1e-14 * full, (t, got, full)
-        szego._table = None
+        szego._evolved = None
         assert spectrum_maximum(lam, beta, 3.0) == _fresh_spectrum_maximum(lam, beta, 3.0)
 
 
@@ -678,7 +698,7 @@ def test_sample_table_results_independent_of_call_history():
              for t in times]
     fresh = []
     for fn, lam, beta, t in cases:
-        szego._table = None  # (monkeypatch would keep every table alive)
+        szego._evolved = None
         fresh.append(_bits(fn(lam, beta, t)))
     other = _random_gapped_pair(rng)
     orders = [list(range(len(cases))), list(range(len(cases)))[::-1],
@@ -694,88 +714,81 @@ def test_sample_table_results_independent_of_call_history():
             assert [got[i] for i in range(len(cases))] == fresh
     for _ in range(20):
         szego_sum_for(*_random_gapped_pair(rng), float(rng.uniform(0.0, 10.0)))
-    gc.collect()
-    assert sum(isinstance(o, szego._SampleTable) for o in gc.get_objects()) <= 1
+    # one cache entry: the samples of the last grid
+    assert szego._evolved[1].shape == (8193,)
 
 
 def _count_sampling(monkeypatch):
-    """Sizes of the table builds and of the Lambda(theta, t) passes."""
-    builds, evolved = [], []
+    """Sizes of the half-period Lambda(theta, t) samplings, from an empty
+    cache; the spectrum maximum's refinement, at 65 angles or fewer, is left
+    out."""
+    evolved = []
 
-    class Counting(szego._SampleTable):
-        def __init__(self, lam, beta, size):
-            builds.append(size)
-            super().__init__(lam, beta, size)
-
-    def evolved_width(bv, root, t):
-        evolved.append(bv.size)
-        return real_width(bv, root, t)
-    real_width = szego._evolved_width
-    monkeypatch.setattr(szego, "_SampleTable", Counting)
-    monkeypatch.setattr(szego, "_evolved_width", evolved_width)
-    monkeypatch.setattr(szego, "_table", None)
-    return builds, evolved
+    def recording(lam, beta, theta, t):
+        if np.size(theta) > 65:
+            evolved.append(np.size(theta))
+        return real(lam, beta, theta, t)
+    real = szego.lambda_of_t
+    monkeypatch.setattr(szego, "lambda_of_t", recording)
+    monkeypatch.setattr(szego, "_evolved", None)
+    return evolved
 
 
 def test_compute_row_samples_each_grid_once(monkeypatch):
-    builds, evolved = _count_sampling(monkeypatch)
+    evolved = _count_sampling(monkeypatch)
     passes = _recorded_passes(monkeypatch)
     lam = gap_family(1.5)
-    # c_k, b_k and the spectrum maximum share one table and one Lambda pass
-    # over its half period; c_k and b_k take one quadrature pass each
+    # c_k, b_k and the spectrum maximum share one Lambda sampling of the
+    # half period; c_k and b_k take one quadrature pass each
     compute_row(lam, TrigPolynomial([1.05, 0.05]), 32, 16, 3.0, _cone_k_max(lam, 3.0))
     grid = 2 * szego._pow2_at_least(max(8192, 8 * (_cone_k_max(lam, 3.0) + 1)))
-    assert builds == [grid] and evolved == [grid // 2 + 1]
+    assert grid == szego._MAXIMUM_GRID
+    assert evolved == [grid // 2 + 1]
     assert [g for _, g, _ in passes] == [grid, grid]
-    # a later time point of the same pair samples only Lambda
+    # a later time point samples Lambda once more
     compute_row(lam, TrigPolynomial([1.05, 0.05]), 32, 16, 2.0, _cone_k_max(lam, 2.0))
-    assert builds == [grid] and evolved == [grid // 2 + 1, grid // 2 + 1]
+    assert evolved == [grid // 2 + 1, grid // 2 + 1]
     assert [g for _, g, _ in passes] == [grid] * 4
 
 
 def test_resolved_row_samples_one_grid(monkeypatch):
     # the resolved sums at t = 50 take one pass each on one 16384-point
-    # table, where the cone-covering k = 5064 would start on 131072 points
-    builds, evolved = _count_sampling(monkeypatch)
+    # sampling, where the cone-covering k = 5064 would start on 131072 points
+    evolved = _count_sampling(monkeypatch)
     passes = _recorded_passes(monkeypatch)
     compute_row(LAM15, TrigPolynomial([1.05, 0.05]), 32, 16, 50.0, None)
-    assert builds == [16384] and evolved == [8193]
+    assert evolved == [8193]
     assert [(k, g) for k, g, _ in passes] == [(4096, 16384)] * 2
 
 
 def test_under_resolved_grid_raises_without_k_max(monkeypatch):
     # gap c = 1.5 at t = 1000 needs 131072 points; a cap that allows only the
-    # first grid leaves the resolved sum unresolved, and the table is dropped
-    builds, _ = _count_sampling(monkeypatch)
+    # first grid leaves the resolved sum unresolved, and its samples are dropped
+    evolved = _count_sampling(monkeypatch)
     monkeypatch.setattr(szego, "_QUAD_CAP", 8192)
     with pytest.raises(QuadratureError, match="did not stabilize"):
         szego_sum_for(LAM15, FLAT, 1000.0)
-    assert builds == [16384]
-    assert szego._table is None
+    assert evolved == [8193]
+    assert szego._evolved is None
 
 
 def test_quadrature_failure_releases_sample_table(monkeypatch):
-    # a quadrature that gives up drops the cap-sized table it sampled
-    builds, _ = _count_sampling(monkeypatch)
+    # a quadrature that gives up drops the cap-sized samples it made
+    evolved = _count_sampling(monkeypatch)
     monkeypatch.setattr(szego, "_QUAD_CAP", 2 ** 14)
     monkeypatch.setattr(szego, "_COEFF_STABLE_TOL", 0.0)
     with pytest.raises(QuadratureError):
         log_symbol_coeffs(LAM15, FLAT, 3.0, 300)
-    assert builds == [2 ** 14, 2 ** 15]
-    assert szego._table is None
+    assert evolved == [2 ** 13 + 1, 2 ** 14 + 1]
+    assert szego._evolved is None
 
 
 def test_critical_retries_add_no_sample_pass(monkeypatch):
-    builds, evolved = _count_sampling(monkeypatch)
+    # the k = 256 .. 8192 retries slice the coefficients of one quadrature,
+    # which samples and transforms each grid once, doubling until its
+    # aliased half settles
+    evolved = _count_sampling(monkeypatch)
     passes = _recorded_passes(monkeypatch)
     szego_sum_for(gap_family(0.5), FLAT, 50.0)
-    # k = 256 stabilizes on 32768 points; the retries at k = 512 and 1024
-    # read that same grid again
-    assert {k for k, g, _ in passes if g == 32768} >= {256, 512, 1024}
-    assert evolved == sorted(set(evolved)) == [size // 2 + 1 for size in builds]
-    assert {g // 2 + 1 for _, g, _ in passes} == set(evolved)
-    # each k_max takes one pass per grid, doubling
-    for k in {k for k, _, _ in passes}:
-        grids = [g for kk, g, _ in passes if kk == k]
-        assert grids == [grids[0] * 2 ** i for i in range(len(grids))], (k, grids)
-    assert len(passes) > len(evolved)
+    assert [(k, g) for k, g, _ in passes] == [(4096, 16384), (8192, 32768), (16384, 65536)]
+    assert evolved == [8193, 16385, 32769]
