@@ -32,7 +32,8 @@ _COEFF_STABLE_TOL = 1e-9
 _TAIL_REL = 1e-12
 _TAIL_ABS = 1e-24
 _CONE_THRESHOLD = 1e-6
-_MAXIMUM_GRID = 16384
+# the spectrum maximum scans the half period of the first quadrature pass
+_MAXIMUM_GRID = 2 * _QUAD_START
 # rows of the Parseval double sum reduced at once
 _PARSEVAL_BLOCK = 8
 
@@ -58,13 +59,6 @@ class LightConeProfile:
     mu_table: np.ndarray
     edges: np.ndarray
     velocity_bound: float
-
-
-def _pow2_at_least(n: int) -> int:
-    g = 1
-    while g < n:
-        g *= 2
-    return g
 
 
 def _cosine_coeffs_once(samples, k_max: int, grid: int):
@@ -108,24 +102,30 @@ def _evolved_samples(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
 def _stabilized_cosine_coeffs(samples_at, k_max: int | None) -> np.ndarray:
     """Fourier coefficients with automatic grid doubling until they stabilize.
 
-    `samples_at(grid)` gives the samples on a uniform half period. One pass on
-    the grid 2G tests its aliased coefficients, so every grid is sampled and
-    transformed once. With k_max given, G starts at max(_QUAD_START, 8 (k_max + 1))
-    and the pass tests the bins G - k_max .. G; with k_max None, G starts at
-    _QUAD_START, the pass tests the bins G/2 .. G and the coefficients
-    0..G/2 it resolves are returned. A grid that does not stabilize raises
-    QuadratureError and drops the cached Lambda samples, which by then are
-    those of the largest grid.
+    `samples_at(grid)` gives the samples on a uniform half period. G starts at
+    _QUAD_START and doubles; a grid with G/2 < k_max is skipped unsampled. One
+    pass on the grid 2G tests its aliased bins G/2 .. G, so every grid is
+    sampled and transformed once, and the pass that settles gives the
+    coefficients 0..G/2: all of them when k_max is None, else the first
+    k_max + 1. An explicit truncation is thus a prefix of the default pass
+    whenever that pass holds k_max + 1 coefficients. Samples that are not
+    finite, or a grid that does not stabilize below _QUAD_CAP, raise
+    QuadratureError and drop the cached Lambda samples.
     """
     global _evolved
-    if k_max is not None and k_max < 0:
-        raise ValueError("k_max must be non-negative")
-    grid = _QUAD_START if k_max is None else _pow2_at_least(max(_QUAD_START, 8 * (k_max + 1)))
+    if k_max is not None and not 0 <= k_max <= _QUAD_CAP // 2:
+        raise ValueError(f"k_max={k_max} must lie in 0..{_QUAD_CAP // 2}")
+    grid = _QUAD_START
+    while k_max is not None and grid // 2 < k_max:
+        grid *= 2
     while grid <= _QUAD_CAP:
-        k = grid // 2 if k_max is None else k_max
-        coeffs, alias = _cosine_coeffs_once(samples_at(2 * grid), k, 2 * grid)
+        samples = samples_at(2 * grid)
+        if not np.isfinite(samples).all():
+            _evolved = None
+            raise QuadratureError(f"quadrature samples on grid {2 * grid} are not finite")
+        coeffs, alias = _cosine_coeffs_once(samples, grid // 2, 2 * grid)
         if alias <= _COEFF_STABLE_TOL:
-            return coeffs
+            return coeffs if k_max is None else coeffs[: k_max + 1]
         grid *= 2
     _evolved = None
     raise QuadratureError(
@@ -141,8 +141,8 @@ def _evolved_coeffs(lam: TrigPolynomial, beta: TrigPolynomial, t: float, k_max: 
 
 def log_symbol_coeffs(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
                       k_max: int | None) -> np.ndarray:
-    """Coefficients c_k of ln Lambda^{-1}(theta, t), k = 0..k_max, or every
-    coefficient the stabilised grid resolves when k_max is None."""
+    """Coefficients c_k of ln Lambda^{-1}(theta, t): every one the stabilised
+    grid resolves when k_max is None, else the first k_max + 1 of them."""
     return _evolved_coeffs(lam, beta, t, k_max, lambda vals: -np.log(vals))
 
 
@@ -160,18 +160,17 @@ def szego_sum(c: np.ndarray) -> float:
     return total
 
 
-def _resolved_sum(coeffs_at, lam: TrigPolynomial, k_max: int | None) -> float:
-    """The tail-checked `szego_sum` of the coefficients `coeffs_at(k)` at the
-    resolved truncation k.
+def _resolved_sum(coeffs: np.ndarray, lam: TrigPolynomial, k_max: int | None) -> float:
+    """The tail-checked `szego_sum` of `coeffs` at the resolved truncation.
 
-    k is k_max when given. Without it, `coeffs_at(None)` gives every
-    coefficient the stabilised grid resolves: a gapped coupling sums them
-    all, and a critical one sums its first k + 1, k doubling from 256 while
-    the tail criterion fails and while they last. When none meets it, the
-    QuadratureError drops the cached Lambda samples.
+    With k_max given, `coeffs` are the first k_max + 1 and are summed as
+    they are. Without it they are every coefficient the stabilised grid
+    resolves: a gapped coupling sums them all, and a critical one sums its
+    first k + 1, k doubling from 256 while the tail criterion fails and
+    while they last. When none meets it, the QuadratureError drops the
+    cached Lambda samples.
     """
     global _evolved
-    coeffs = coeffs_at(k_max)
     if k_max is not None or not is_critical(lam):
         return szego_sum(coeffs)
     k = 256
@@ -190,11 +189,12 @@ def szego_sum_for(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
                   k_max: int | None = None) -> float:
     """Szego-bound value with truncation resolved automatically.
 
-    Gapped couplings sum every coefficient the stabilised quadrature grid
+    An explicit k_max sums the first k_max + 1 coefficients of the stabilised
+    quadrature. Without it, gapped couplings sum every coefficient the grid
     resolves; critical ones sum the shortest doubling of 256 of them that
     meets the tail criterion.
     """
-    return _resolved_sum(lambda k: log_symbol_coeffs(lam, beta, t, k), lam, k_max)
+    return _resolved_sum(log_symbol_coeffs(lam, beta, t, k_max), lam, k_max)
 
 
 def parseval_check(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
@@ -235,8 +235,8 @@ def parseval_check(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
 
 def bk_coeffs(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
               k_max: int | None) -> np.ndarray:
-    """Coefficients b_k of the inverse evolved spectrum Lambda^{-1}(theta, t),
-    k = 0..k_max, or every coefficient the stabilised grid resolves when k_max is None."""
+    """Coefficients b_k of the inverse evolved spectrum Lambda^{-1}(theta, t): every
+    one the stabilised grid resolves when k_max is None, else the first k_max + 1."""
     return _evolved_coeffs(lam, beta, t, k_max, lambda vals: 1.0 / vals)
 
 
@@ -296,7 +296,7 @@ def bk_bound(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
     couplings; the chain check therefore lives with the callers that know the
     coupling is gapped.
     """
-    partial = _resolved_sum(lambda k: bk_coeffs(lam, beta, t, k), lam, k_max)
+    partial = _resolved_sum(bk_coeffs(lam, beta, t, k_max), lam, k_max)
     M = spectrum_maximum(lam, beta, t)
     return partial / (M * M)
 

@@ -192,6 +192,7 @@ def test_output_file_matches_stdout(tmp_path):
     ("evolve", "--lambda", LAM15, "--steps", "1"),
     ("evolve", "--lambda", LAM15, "-N", "16", "-n", "16"),
     ("evolve", "--lambda", LAM15, "--kmax", "sometimes"),
+    ("evolve", "--lambda", LAM15, "-N", "16", "--steps", "2", "--kmax", "5000000"),
     ("evolve", "--lambda", "poly:1,-2"),                # sign-changing coupling
     ("sweep", "--param", "N", "--values", ",,", "--lambda", LAM15),
     ("sweep", "--param", "N", "--values", "16,xy", "--lambda", LAM15),

@@ -288,6 +288,28 @@ def test_near_gap_sum_resolves(c):
     assert np.isfinite(value) and value > 0.0
 
 
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(lam=st.booleans().flatmap(
+           lambda critical: st.floats(-1.0, 1.0).map(gap_family) if critical
+           else st.one_of(_gapped_symbol(0.5, 3.0), st.floats(1.05, 3.0).map(gap_family))),
+       beta=_gapped_symbol(0.5, 2.0), t=st.floats(0.0, 50.0),
+       k=st.one_of(st.integers(0, 1023), st.integers(1024, 4096)))
+def test_explicit_truncation_is_a_prefix_of_the_resolved_pass(lam, beta, t, k):
+    # an explicit k_max runs the pass the default does and keeps its first
+    # k_max + 1 coefficients, bit for bit, on gapped and critical couplings
+    for coeffs_at in (log_symbol_coeffs, bk_coeffs):
+        prefix = coeffs_at(lam, beta, t, None)[: k + 1]
+        assert coeffs_at(lam, beta, t, k).tobytes() == prefix.tobytes(), coeffs_at.__name__
+    prefix = log_symbol_coeffs(lam, beta, t, None)[: k + 1]
+    try:
+        ref = szego_sum(prefix)
+    except TailCriterionError:
+        with pytest.raises(TailCriterionError):
+            szego_sum_for(lam, beta, t, k)
+    else:
+        assert szego_sum_for(lam, beta, t, k) == ref
+
+
 def test_light_cone_edges_within_bound():
     prof = light_cone_profile(LAM15, FLAT, (1.0, 2.0, 4.0))
     assert abs(prof.velocity_bound - 25.0) < 1e-9
@@ -563,7 +585,7 @@ def test_sample_table_matches_fresh_grids(monkeypatch):
     # half-period grid bit for bit, and the full-period pass it replaced to a
     # few ulps. An infinite stabilization tolerance stops each call after its
     # one pass on 2G, which keeps the critical couplings at t = 1000 to small
-    # grids; k_max alternates between two grids.
+    # grids; k_max alternates between two grids, 5000 skipping the first.
     rng = np.random.default_rng(2027)
     pairs = [_random_gapped_pair(rng) for _ in range(3)]
     pairs += [(gap_family(1.0), TrigPolynomial([1.0, 0.1])),
@@ -575,7 +597,7 @@ def test_sample_table_matches_fresh_grids(monkeypatch):
     for lam, beta in pairs:
         gapped = not szego.is_critical(lam)
         for t in (0.0, 0.37, 10.0, 50.0, 1000.0):
-            for k in (300, 1500):
+            for k in (300, 5000):
                 oracles = {
                     "c": lambda th: -np.log(lambda_of_t(lam, beta, th, t)),
                     "b": lambda th: 1.0 / lambda_of_t(lam, beta, th, t),
@@ -592,11 +614,12 @@ def test_sample_table_matches_fresh_grids(monkeypatch):
                 assert len(passes) == len(results)
                 grid = 16384 if k == 300 else 32768
                 for (name, got), (k_max, g, out) in zip(results.items(), passes):
-                    assert (k_max, g) == (k, grid)
+                    # each pass gives the coefficients 0..G/2 of G = g/2
+                    assert (k_max, g) == (grid // 4, grid)
                     assert _same_pass(out, _oracle_pass(oracles[name], k_max, g)), (name, t, k)
                     _assert_matches_full_period(oracles[name], k_max, g, out[0])
                     scale = 0.5 if name in ("sigma", "mu") else 1.0
-                    assert got.tobytes() == (scale * out[0]).tobytes()
+                    assert got.tobytes() == (scale * out[0][: k + 1]).tobytes()
                 got = spectrum_maximum(lam, beta, t)
                 assert got == _fresh_spectrum_maximum(lam, beta, t)
                 full = _fresh_spectrum_maximum(lam, beta, t, period=1.0)
@@ -629,28 +652,28 @@ def test_sample_table_deep_stabilization_matches_fresh_grids(monkeypatch):
 
 def _two_pass_grid(fn, k_max):
     """The final grid of the full-period stabilization the alias test
-    replaced: each grid 2G is compared against its even-index half G."""
-    grid = szego._pow2_at_least(max(8192, 8 * (k_max + 1)))
-    prev = None
+    replaced: from G = 8192 on, skipping any G with G/2 < k_max, each grid 2G
+    is compared against its even-index half G on the coefficients 0..G/2."""
+    grid = 8192
+    while grid // 2 < k_max:
+        grid *= 2
     while grid <= szego._QUAD_CAP:
         fine = fn(2.0 * np.pi * np.arange(2 * grid) / (2 * grid))
-        if prev is None:
-            prev = _full_period_pass(fine[::2], k_max, grid)
+        coarse = _full_period_pass(fine[::2], grid // 2, grid)
+        cur = _full_period_pass(fine, grid // 2, 2 * grid)
+        if np.abs(cur - coarse).max() <= szego._COEFF_STABLE_TOL:
+            return 2 * grid
         grid *= 2
-        cur = _full_period_pass(fine, k_max, grid)
-        if np.abs(cur - prev).max() <= szego._COEFF_STABLE_TOL:
-            return grid
-        prev = cur
     raise AssertionError("the two-pass stabilization did not settle")
 
 
 def test_alias_stop_picks_the_two_pass_grid(monkeypatch):
     # the aliased bins of one pass on 2G stop at the grid where the coarse
-    # and fine passes used to agree: the deep-stabilization cases and every
-    # k_max of a critical doubling trail
+    # and fine passes used to agree: the deep-stabilization cases, every
+    # k_max of a critical doubling trail, and one that skips the first grid
     passes = _recorded_passes(monkeypatch)
     cases = list(DEEP_CASES)
-    cases += [(gap_family(0.5), FLAT, 20.0, k) for k in (256, 512, 1024, 2048)]
+    cases += [(gap_family(0.5), FLAT, 20.0, k) for k in (256, 512, 1024, 2048, 5000)]
     for lam, beta, t, k in cases:
         def fn(th):
             return -np.log(lambda_of_t(lam, beta, th, t))
@@ -741,10 +764,10 @@ def test_compute_row_samples_each_grid_once(monkeypatch):
     # c_k, b_k and the spectrum maximum share one Lambda sampling of the
     # half period; c_k and b_k take one quadrature pass each
     compute_row(lam, TrigPolynomial([1.05, 0.05]), 32, 16, 3.0, _cone_k_max(lam, 3.0))
-    grid = 2 * szego._pow2_at_least(max(8192, 8 * (_cone_k_max(lam, 3.0) + 1)))
+    grid = 2 * szego._QUAD_START
     assert grid == szego._MAXIMUM_GRID
     assert evolved == [grid // 2 + 1]
-    assert [g for _, g, _ in passes] == [grid, grid]
+    assert [(k, g) for k, g, _ in passes] == [(grid // 4, grid)] * 2
     # a later time point samples Lambda once more
     compute_row(lam, TrigPolynomial([1.05, 0.05]), 32, 16, 2.0, _cone_k_max(lam, 2.0))
     assert evolved == [grid // 2 + 1, grid // 2 + 1]
@@ -770,6 +793,33 @@ def test_under_resolved_grid_raises_without_k_max(monkeypatch):
         szego_sum_for(LAM15, FLAT, 1000.0)
     assert evolved == [8193]
     assert szego._evolved is None
+
+
+@pytest.mark.parametrize("lam, t", [(gap_family(0.5), float("nan")),
+                                    # (beta t)^2 overflows at the zero theta = 0
+                                    (gap_family(1.0), 1e200)], ids=["nan-t", "overflow"])
+def test_non_finite_samples_stop_on_the_first_pass(monkeypatch, lam, t):
+    evolved = _count_sampling(monkeypatch)
+    passes = _recorded_passes(monkeypatch)
+    with np.errstate(over="ignore", divide="ignore"):
+        with pytest.raises(QuadratureError, match="not finite"):
+            szego_sum_for(lam, FLAT, t)
+    assert evolved == [8193] and passes == []
+    assert szego._evolved is None
+
+
+def test_k_max_beyond_the_cap_is_rejected_unsampled(monkeypatch):
+    # the last grid under the cap resolves k_max = cap / 2; one more, or a
+    # negative k_max, raises before any sampling
+    evolved = _count_sampling(monkeypatch)
+    monkeypatch.setattr(szego, "_QUAD_CAP", 2 ** 14)
+    monkeypatch.setattr(szego, "_COEFF_STABLE_TOL", np.inf)
+    for k in (-1, 2 ** 13 + 1):
+        with pytest.raises(ValueError, match="k_max"):
+            log_symbol_coeffs(LAM15, FLAT, 3.0, k)
+    assert evolved == []
+    assert log_symbol_coeffs(LAM15, FLAT, 3.0, 2 ** 13).size == 2 ** 13 + 1
+    assert evolved == [2 ** 14 + 1]
 
 
 def test_quadrature_failure_releases_sample_table(monkeypatch):
