@@ -8,6 +8,8 @@ determinant, Fourier-coefficient sums), verifies their ordering, and measures
 the linear growth and light-cone structure that make the bounds useful.
 """
 
+import importlib
+
 from .errors import (ConsistencyError, CriticalSymbolError, DivergenceError,
                      IllConditionedError, QuadratureError, QuenchEntropyError,
                      SpectralSpecError, TailCriterionError)
@@ -25,9 +27,19 @@ from .szego import (GrowthFit, LightConeProfile, ShortTimeFit, bk_bound,
                     bk_coeffs, fit_linear, fit_quadratic_short_time,
                     light_cone_profile, log_symbol_coeffs, mu_sigma,
                     parseval_check, szego_sum, szego_sum_for)
-from .verify import run_verification
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """`verify` and `run_verification`, imported on first use: a start that
+    runs no verification does not load the suites."""
+    if name in ("verify", "run_verification"):
+        # import_module, not `from . import verify`, which would ask this hook again
+        verify = importlib.import_module(f"{__name__}.verify")
+        return verify if name == "verify" else verify.run_verification
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BlockPartition", "BoundRow", "BoundSeries", "CirculantMatrix",

@@ -19,7 +19,6 @@ from . import pipeline
 from .errors import (ConsistencyError, CriticalSymbolError, DivergenceError,
                      IllConditionedError, QuadratureError, SpectralSpecError,
                      TailCriterionError)
-from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -109,6 +108,8 @@ def _cmd_figure1(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here, so that no other command loads (or compiles) the suites
+    from .verify import run_verification
     report = run_verification(args.level)
     pipeline.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     if not report["all_passed"]:

@@ -36,6 +36,14 @@ every block is then the direct sum of an even and an odd sector, and
 basis change is orthogonal and acts on x and p alike, so it is also
 symplectic: positivity, log-determinants and the Williamson spectrum all split
 over the two sectors.
+
+Correlations across the cut vanish, to rounding, outside a light cone of
+width w (Lieb-Robinson bounds for harmonic lattices), so at most 2w of a
+side's Williamson values differ from 1/2. When the cone is narrow against the
+side, `symbol_record` takes them from the w sites beside each cut point
+(`_window_spectrum`, O(w^3)), and keeps them only when they pass the same
+checks against the whole side's covariance that `_williamson`'s values must
+pass; otherwise `_williamson` runs on the whole side.
 """
 
 from __future__ import annotations
@@ -52,6 +60,10 @@ _COND_LIMIT = 1e12
 _PURITY_AGREE_TOL = 1e-9
 _SQRT_HALF = np.sqrt(0.5)
 _LN2 = float(np.log(2.0))
+_EPS = float(np.finfo(float).eps)
+# a correlation row's entries below this many eps |r|_2 are its FFT's rounding
+# (measured rounding tails reach about 4 eps |r|_2)
+_FLOOR_FACTOR = 16.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -369,6 +381,77 @@ def _fold(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return even, B[:r // 2, :c // 2] - flip[:r // 2, :c // 2]
 
 
+def _window_width(rows: dict) -> int:
+    """Light-cone width w of the correlation rows <xx> = inv_real/2, <xp> and <pp>.
+
+    A lag counts as inside the cone while some row's entry there exceeds that
+    row's rounding floor, _FLOOR_FACTOR eps |r|_2: an inverse DFT of N samples
+    of a symbol f errs by about eps rms(f) = eps |r|_2 (Parseval) in every
+    entry. Each row is measured against its own norm, so the rule is
+    unchanged by a local squeezing x -> x/s, p -> s p. Rows are even, so the
+    lags 0..N/2 hold every entry.
+    """
+    half = rows["pp"].size // 2 + 1
+    width = 0
+    for r in (rows["inv_real"], rows["xp"], rows["pp"]):
+        above = np.flatnonzero(np.abs(r[:half]) > _FLOOR_FACTOR * _EPS * np.linalg.norm(r))
+        if above.size:
+            width = max(width, int(above[-1]) + 1)
+    return width
+
+
+def _window_spectrum(rows: dict, k: int) -> np.ndarray | None:
+    """Williamson values of a side of k sites from the w sites beside each cut
+    point, w = `_window_width(rows)`; None when 4w >= k, where the windows of
+    the two cut points do not lie well apart.
+
+    The global state is pure, so the AA block of (Omega Gamma)^2 = -I/4 gives
+    nu^2 - 1/4 = eig(Omega G Omega G^T), G the cross covariance Gamma_AB.
+    Past the cone G is zero to rounding, so only its block between the w sites
+    of A and of B beside each cut point is kept. Folded into the reflection
+    sectors as in `_fold`, with s = +1 (even) or -1 (odd) and i, j < w,
+
+        G_s[i, j] = r[i + j + 1] + s r[k + j - i],
+        V_s[i, j] = r[|i - j|] + s r[k - 1 - i - j]
+
+    for each row r, in (x, p) blocks (k + w < N, so no lag wraps); V_s is
+    the covariance of A's window.
+    S = V_s Omega G_s Omega G_s^T is symmetric (it is -V/4 - V Omega V Omega V
+    on the whole side), so with L = chol(V_s) every mu = nu^2 - 1/4 is an
+    eigenvalue, twice, of the symmetric L^{-1} S L^{-T}. The other k - 2w
+    values are 1/2. The caller cross-checks the result against the whole
+    side's covariance.
+    """
+    w = _window_width(rows)
+    if 4 * w >= k:
+        return None
+    x, xp, pp = 0.5 * rows["inv_real"], rows["xp"], rows["pp"]
+    i = np.arange(w)
+    near, far = i[:, None] + i + 1, k + i - i[:, None]
+    diff, wrap = np.abs(i[:, None] - i), k - 1 - i[:, None] - i
+    nu = []
+    for s in (1.0, -1.0):
+        gx, gc, gp = (r[near] + s * r[far] for r in (x, xp, pp))
+        vx, vc, vp = (r[diff] + s * r[wrap] for r in (x, xp, pp))
+        V = np.block([[vx, vc], [vc, vp]])
+        try:
+            L_inv = np.linalg.inv(np.linalg.cholesky(V))
+        except np.linalg.LinAlgError:
+            return None
+        S = V @ np.block([[-gp, gc], [gc, -gx]]) @ np.block([[gx, gc], [gc, gp]]).T
+        mu = np.linalg.eigvalsh(L_inv @ S @ L_inv.T)[1::2]
+        nu.append(np.sqrt(np.maximum(0.25 + mu, 0.0)))
+    return np.concatenate(nu)
+
+
+def _check_spectrum(nu: np.ndarray, k: int, ld_v: float) -> None:
+    """nu_min >= 1/2, and sum ln 2 nu against (1/2) ln det 2V = k ln 2 + ld_v / 2,
+    ld_v = ln det V of the k-site side (ConsistencyError)."""
+    if nu.min() < 0.5 - 1e-8:
+        raise ConsistencyError(f"unphysical covariance: nu_min = {nu.min():.12g} < 1/2")
+    _check_purity_forms(-float(np.sum(np.log(2.0 * nu))), -k * _LN2 - 0.5 * ld_v)
+
+
 def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
     """The three dense-side columns for a cut of n, from the smaller side alone.
 
@@ -376,7 +459,7 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
     a circulant, one inverse DFT of a symbol built from the mode symbols. Only
     the smaller side, k = min(n, N - n) sites, is built: R~_k of Re A, P~_k of
     (Re A)^{-1} and the reduced covariance V, with blocks xx = P~_k / 2, xp and
-    pp. With nu the Williamson spectrum of V (`_williamson`),
+    pp. With nu the Williamson spectrum of V,
 
         exact_entropy = sum s(nu),   neg_log_purity = sum ln 2 nu,
         det_bound = (1/2) (ln det 2 V_xx + ln det R~_k),
@@ -391,6 +474,12 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
     exactly zero columns, as on the dense route. Each block is folded into
     its reflection sectors (module docstring), and every factorisation and
     the Williamson spectrum are taken per sector and combined.
+
+    nu comes from the light-cone windows (`_window_spectrum`) when they fit
+    and their values pass the nu_min and purity-forms checks against V's
+    Cholesky factor, a cross-check of the truncation on every row. Otherwise,
+    or when the windows do not fit, it is `_williamson` of the sector factors,
+    held to the same two checks, which then raise.
     """
     a = np.asarray(state.mode_symbols, dtype=complex)
     N = a.shape[0]
@@ -418,7 +507,7 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
     residual = float(np.sqrt(np.sum((k - np.abs(lag)) * d[lag] ** 2)))
     sectors = zip(_fold(_toeplitz(re[:k])), _fold(_toeplitz(p[:k])),
                   _fold(_toeplitz(rows["xp"][:k])), _fold(_toeplitz(rows["pp"][:k])))
-    nu = []
+    factors = []
     ld_r = ld_xx = ld_v = 0.0
     for R, P, xp, pp in sectors:
         L_r = _cholesky(R, "real part of the smaller side's block is not positive definite")
@@ -429,14 +518,18 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
         log_diag = np.log(np.diag(L))
         ld_xx += 2.0 * float(np.sum(log_diag[:R.shape[0]]))
         ld_v += 2.0 * float(np.sum(log_diag))
-        nu.append(_williamson(L))
+        factors.append(L)
 
-    nu = np.concatenate(nu)
-    if nu.min() < 0.5 - 1e-8:
-        raise ConsistencyError(f"unphysical covariance: nu_min = {nu.min():.12g} < 1/2")
+    nu = _window_spectrum(rows, k)
+    if nu is not None:
+        try:
+            _check_spectrum(nu, k, ld_v)
+        except ConsistencyError:
+            nu = None  # the window values fail the whole side's checks
+    if nu is None:
+        nu = np.concatenate([_williamson(L) for L in factors])
+        _check_spectrum(nu, k, ld_v)
     log_2nu = np.log(2.0 * nu)
-    # against (1/2) ln det 2V, with det 2V = 2^{2k} det V
-    _check_purity_forms(-float(np.sum(log_2nu)), -k * _LN2 - 0.5 * ld_v)
     return SymbolRecord(
         t=t, exact_entropy=_entropy_sum(np.maximum(nu, 0.5)),
         neg_log_purity=float(np.sum(np.maximum(log_2nu, 0.0))),

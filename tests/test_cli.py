@@ -328,6 +328,32 @@ def test_library_runs_without_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_verify_suites_load_only_for_verify():
+    # an evolve start never imports quench_entropy.verify; the package's
+    # run_verification and verify load it on first use
+    code = (
+        "import contextlib, io, sys\n"
+        "import quench_entropy\n"
+        "from quench_entropy import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['evolve', '--lambda', 'gap:c=1.5', '-N', '32', '--steps', '2']) == 0\n"
+        "print('quench_entropy.verify' in sys.modules)\n"
+        "from quench_entropy import run_verification\n"
+        "from quench_entropy.verify import run_verification as direct\n"
+        "assert run_verification is direct and quench_entropy.verify.run_verification is direct\n"
+        "assert 'run_verification' in quench_entropy.__all__\n"
+        "namespace = {}\n"
+        "exec('from quench_entropy import *', namespace)\n"
+        "assert namespace['run_verification'] is direct\n"
+        "print('quench_entropy.verify' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=_CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+    with pytest.raises(AttributeError):
+        quench_entropy.no_such_name  # noqa: B018
+
+
 def test_serial_run_loads_neither_numpy_ma_nor_concurrent_futures():
     # both cost start-up time; the process pool is imported only for --jobs > 1
     code = (
@@ -534,7 +560,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
             {"name": "broken", "passed": False, "detail": "boom"}]}},
         "all_passed": False,
     }
-    monkeypatch.setattr(cli, "run_verification", lambda level: fake)
+    monkeypatch.setattr("quench_entropy.verify.run_verification", lambda level: fake)
     rc = cli.main(["verify", "--level", "quick"])
     assert rc == 1
     assert "FAILED spectral.broken" in capsys.readouterr().err

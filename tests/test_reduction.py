@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quench_entropy import (ConsistencyError, EvolutionSetup,
-                            GaussianPureState, IllConditionedError,
+                            GaussianPureState, IllConditionedError, QuenchEntropyError,
                             SymbolRecord, TrigPolynomial, densify, det_bound,
                             entropy_record, evolve, exact_entropy, gap_family,
                             partition, purity, reduce, symbol_record)
@@ -564,6 +564,133 @@ def test_symbol_record_bound_chain_property(lam, beta, N, cut, t):
 
 
 # ---------------------------------------------------------------------------
+# symbol_record: Williamson values from the light-cone windows, against the whole side
+# ---------------------------------------------------------------------------
+
+def _window_and_full(state, n, monkeypatch):
+    """symbol_record's record, the shapes of the whole-side factors it handed
+    `_williamson` (none on the window route), and the record of the whole-side
+    route, forced by making the window helper decline."""
+    calls = []
+    real_williamson = reduction._williamson
+    with monkeypatch.context() as m:
+        m.setattr(reduction, "_williamson", lambda L: calls.append(L.shape) or real_williamson(L))
+        rec = symbol_record(state, n)
+    with monkeypatch.context() as m:
+        m.setattr(reduction, "_window_spectrum", lambda rows, k: None)
+        full = symbol_record(state, n)
+    return rec, full, calls
+
+
+def _window_cases():
+    """Seeded gapped symbols on off-centre cuts of even and odd rings."""
+    rng = np.random.default_rng(83)
+    cases = []
+    for N in (512, 513, 1001, 1025):
+        lam, beta, _, _ = _random_instance(rng)
+        n = int(rng.integers(N // 4, 3 * N // 4))
+        cases.append((lam, beta, N, n, float(rng.uniform(0.5, 4.0))))
+    return cases
+
+
+@pytest.mark.parametrize("lam, beta, N, n, t", [
+    *_window_cases(),
+    (LAM15, TrigPolynomial([1.05, 0.05, -0.02]), 1025, 300, 10.0),
+    (LAM15, TrigPolynomial([1.05, 0.05, -0.02]), 1001, 777, 5.0),
+    (gap_family(1.0), TrigPolynomial([1.0, 0.1]), 512, 256, 1.0),
+    (gap_family(1.0), TrigPolynomial([1.0, 0.1]), 512, 256, 10.0),
+    (gap_family(1.0), FLAT, 1025, 400, 5.0),
+    (gap_family(0.5), FLAT, 512, 256, 10.0),
+    (gap_family(0.5), TrigPolynomial([1.0, 0.2]), 513, 200, 3.0),
+])
+def test_window_route_matches_whole_side(lam, beta, N, n, t, monkeypatch):
+    rec, full, calls = _window_and_full(evolve(EvolutionSetup(lam, beta, N), t), n, monkeypatch)
+    assert calls == []  # the window route
+    for field in ("exact_entropy", "neg_log_purity"):
+        got, want = getattr(rec, field), getattr(full, field)
+        assert abs(got - want) <= 1e-10 + 1e-9 * abs(want), (field, got, want)
+    # every other figure comes from the whole-side factorisations, unchanged
+    assert dataclasses.replace(rec, exact_entropy=full.exact_entropy,
+                               neg_log_purity=full.neg_log_purity) == full
+
+
+# the benchmark's dense-ring pool (perfbench/workloads.py): gap:c, poly:b0,b1
+DENSE_RING_POOL = (
+    (1.4536, 1.0545, 0.0979), (1.4490, 1.0757, 0.0960), (1.4313, 1.0483, 0.0651),
+    (1.4224, 1.0448, 0.0563), (1.4844, 1.0389, -0.0184), (1.5290, 1.0674, -0.0849),
+    (1.5294, 1.0022, 0.0420), (1.5153, 1.0904, 0.0979), (1.5347, 1.0625, 0.0806),
+    (1.5341, 1.0266, 0.0454), (1.5768, 1.0940, -0.0189), (1.5483, 1.0067, -0.0129),
+)
+
+
+def test_dense_ring_rows_take_the_window_route(monkeypatch):
+    calls = []
+    real_williamson = reduction._williamson
+    monkeypatch.setattr(reduction, "_williamson",
+                        lambda L: calls.append(L.shape) or real_williamson(L))
+    for c, b0, b1 in DENSE_RING_POOL:
+        setup = EvolutionSetup(gap_family(c), TrigPolynomial([b0, b1]), 512)
+        for t in np.linspace(0.0, 10.0, 9):
+            symbol_record(evolve(setup, float(t)), 256)
+    assert calls == []
+
+
+@pytest.mark.parametrize("c", [1.5, 1.1, 3.0])
+def test_window_route_squeezed_width_scan(c, monkeypatch):
+    # strongly squeezed widths: where the window kernel's small nu lose
+    # accuracy the cross-check rejects them and the whole side takes over, so
+    # a row raises only where the whole-side route raises too
+    for beta in ((300.0,), (1000.0,), (0.003,), (30.0, 10.0), (1e4,)):
+        for N in (256, 512, 1025):
+            for t in (1.0, 3.0, 10.0, 50.0):
+                state = evolve(EvolutionSetup(gap_family(c), TrigPolynomial(beta), N), t)
+                try:
+                    rec = symbol_record(state, N // 2)
+                except QuenchEntropyError as exc:
+                    with monkeypatch.context() as m:
+                        m.setattr(reduction, "_window_spectrum", lambda rows, k: None)
+                        with pytest.raises(type(exc)):
+                            symbol_record(state, N // 2)
+                    continue
+                assert rec.exact_entropy >= rec.neg_log_purity - 1e-8
+                assert rec.neg_log_purity >= rec.det_bound - 1e-8
+
+
+def test_window_short_of_the_cone_is_rejected(monkeypatch):
+    state = evolve(EvolutionSetup(LAM15, TrigPolynomial([1.05, 0.05]), 512), 5.0)
+    rows = reduction._circulant_rows(np.asarray(state.mode_symbols, dtype=complex))
+    # one site short of the 1e-6 cone: a row entry of 1e-6 of its norm is dropped
+    edge = max(int(np.flatnonzero(np.abs(r[:257]) > 1e-6 * np.linalg.norm(r))[-1]) + 1
+               for r in (rows["inv_real"], rows["xp"], rows["pp"]))
+    assert 4 * edge < 256 and edge < reduction._window_width(rows)
+    monkeypatch.setattr(reduction, "_window_width", lambda rows: edge - 1)
+    assert reduction._window_spectrum(rows, 256) is not None
+    rec, full, calls = _window_and_full(state, 256, monkeypatch)
+    assert calls == [(256, 256), (256, 256)]  # the fallback
+    assert rec == full
+
+
+def test_window_route_declines_edge_cuts_and_wide_cones(monkeypatch):
+    state = evolve(EvolutionSetup(LAM15, TrigPolynomial([1.05, 0.05]), 512), 2.0)
+    rows = reduction._circulant_rows(np.asarray(state.mode_symbols, dtype=complex))
+    w = reduction._window_width(rows)
+    assert 0 < w < 64
+    for k in (1, 2, 4 * w):
+        assert reduction._window_spectrum(rows, k) is None
+    assert reduction._window_spectrum(rows, 4 * w + 1).shape == (2 * w,)
+    # n = 1 and n = N - 1 are a one-site side: the whole-side route
+    for n in (1, 511):
+        rec, full, calls = _window_and_full(state, n, monkeypatch)
+        assert calls == [(2, 2), (0, 0)] and rec == full
+    # at t = 50 the cone is wider than a quarter of the half cut
+    wide = evolve(EvolutionSetup(LAM15, TrigPolynomial([1.05, 0.05]), 512), 50.0)
+    rows = reduction._circulant_rows(np.asarray(wide.mode_symbols, dtype=complex))
+    assert 4 * reduction._window_width(rows) >= 256
+    rec, full, calls = _window_and_full(wide, 256, monkeypatch)
+    assert calls == [(256, 256), (256, 256)] and rec == full
+
+
+# ---------------------------------------------------------------------------
 # Williamson spectrum: one real eigvalsh, against the SVD and eigvals(Omega V) oracles
 # ---------------------------------------------------------------------------
 
@@ -650,21 +777,23 @@ def test_williamson_strongly_squeezed():
     assert abs(exact_entropy(dense, n) - want) <= 1e-9 * want
 
 
-def test_williamson_matches_svd_oracle_on_dense_ring_sectors(monkeypatch):
-    # the benchmark's dense-ring row: N = 512, n = 256, two sectors of h = 128
+def _sector_factors(state, k):
+    """Cholesky factors of the two reflection sectors of the k-site side's
+    covariance, cut from the rows `symbol_record` uses."""
+    rows = reduction._circulant_rows(np.asarray(state.mode_symbols, dtype=complex))
+    xx, xp, pp = (_fold(_toeplitz(r[:k])) for r in (0.5 * rows["inv_real"], rows["xp"], rows["pp"]))
+    return [np.linalg.cholesky(np.block([[x, c], [c, p]])) for x, c, p in zip(xx, xp, pp)]
+
+
+def test_williamson_matches_svd_oracle_on_dense_ring_sectors():
+    # the benchmark's dense-ring row: N = 512, n = 256, two sectors of h = 128.
+    # symbol_record takes this row's spectrum from the light-cone windows; the
+    # whole side's kernel, its fallback, is held to the SVD oracle here
     state = evolve(EvolutionSetup(LAM15, TrigPolynomial([1.05, 0.05]), 512), 10.0)
-    factors = []
-    real_williamson = reduction._williamson
-
-    def recording(L):
-        factors.append(L)
-        return real_williamson(L)
-
-    monkeypatch.setattr(reduction, "_williamson", recording)
-    symbol_record(state, 256)
+    factors = _sector_factors(state, 256)
     assert [L.shape for L in factors] == [(256, 256), (256, 256)]
     for L in factors:
-        got, ref = real_williamson(L), _svd_williamson(L)
+        got, ref = reduction._williamson(L), _svd_williamson(L)
         assert np.abs(got - ref).max() <= 1e-12 * ref.max()
 
 
