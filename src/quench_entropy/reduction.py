@@ -9,10 +9,10 @@ and turned into the quantities the bound chain needs:
 where a tilde always means "block of the real part": T~, R~, C~ are blocks of
 Re A and P~ is the corresponding block of (Re A)^{-1}. All determinants are
 computed as Cholesky log-determinants; explicit determinants of these matrices
-overflow double precision long before the sizes of interest. Williamson spectra
-come from a covariance's Cholesky factor L by one real symmetric eigensolve of
-K^T K, K = L^T Omega L, assembled from half-size blocks, and a second one, of
-K^{-T} K^{-1}, for the small end of a wide spectrum (`_williamson`).
+overflow double precision long before the sizes of interest. Every Williamson
+spectrum is read from singular values: of K = L^T Omega L for a covariance
+with Cholesky factor L (`_williamson`), or of the light-cone windows' cross
+covariance (`_window_spectrum`).
 
 A coupling block that is exactly zero short-circuits to the analytic
 product-state answers (purity 1, every bound 0). That is an identity, not an
@@ -40,10 +40,12 @@ over the two sectors.
 Correlations across the cut vanish, to rounding, outside a light cone of
 width w (Lieb-Robinson bounds for harmonic lattices), so at most 2w of a
 side's Williamson values differ from 1/2. When the cone is narrow against the
-side, `symbol_record` takes them from the w sites beside each cut point
-(`_window_spectrum`, O(w^3)), and keeps them only when they pass the same
-checks against the whole side's covariance that `_williamson`'s values must
-pass; otherwise `_williamson` runs on the whole side.
+side, `symbol_record` takes them from the covariance between the w sites
+beside each cut point on either side of it (`_window_spectrum`, O(w^3)),
+where each nu^2 - 1/4 is a squared singular value, so nu >= 1/2 exactly. It
+keeps them only when they pass the same checks against the whole side's
+covariance that `_williamson`'s values must pass; otherwise `_williamson`
+runs on the whole side.
 """
 
 from __future__ import annotations
@@ -138,6 +140,12 @@ def _check_purity_forms(log_p1: float, log_p2: float) -> None:
             f"purity formulas disagree: {np.exp(log_p1):.12g} vs {np.exp(log_p2):.12g}")
 
 
+def _check_nu_min(nu: np.ndarray) -> None:
+    """A Williamson spectrum may not fall below 1/2 by more than rounding."""
+    if nu.min() < 0.5 - 1e-8:
+        raise ConsistencyError(f"unphysical covariance: nu_min = {nu.min():.12g} < 1/2")
+
+
 def _cholesky(M: np.ndarray, message: str) -> np.ndarray:
     """Cholesky factor of M, or ConsistencyError(message) when M is not positive definite."""
     try:
@@ -229,40 +237,16 @@ def det_bound(blocks: BlockPartition) -> float:
     return 0.5 * (logdet_pd(blocks.P_tilde) + logdet_pd(blocks.R.real))
 
 
-def _block_eigvalsh(top: np.ndarray, lower: np.ndarray, bottom: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric [[top, lower^T], [lower, bottom]] from
-    one real `eigvalsh`, which reads the lower triangle only."""
-    h = top.shape[0]
-    S = np.zeros((2 * h, 2 * h))
-    S[:h, :h], S[h:, :h], S[h:, h:] = top, lower, bottom
-    return np.linalg.eigvalsh(S)
-
-
 def _williamson(L: np.ndarray) -> np.ndarray:
     """Williamson spectrum, ascending, of the covariance V = L L^T (2h x 2h, x-then-p).
 
-    K = L^T Omega L is real antisymmetric with the eigenvalues +-i nu_j of Omega V,
-    so K^T K = -K^2 has every nu_j^2 twice. With L = [[L11, 0], [L21, L22]] (h x h
-    blocks), G = L11^T L21, W = G - G^T and M = L11^T L22, K = [[W, M], [-M^T, 0]].
-
-    Squaring gives nu_j a relative error of about eps (nu_max / nu_j)^2, against
-    eps nu_max / nu_j from an SVD of K. When nu_max > 2 nu_min, the nu_j with
-    nu_j^2 < nu_max nu_min come instead from the largest eigenvalues 1 / nu_j^2 of
-    K^{-T} K^{-1}, with K^{-1} = [[0, -N^T], [N, N W N^T]], N = M^{-1}: every nu_j
-    is then within about eps nu_max / nu_min, as from the SVD."""
+    K = L^T Omega L is real antisymmetric with the eigenvalues +-i nu_j of
+    Omega V, so its singular values are the nu_j, each twice. An SVD gives
+    each nu_j within about eps nu_max, the small end of a wide spectrum
+    included."""
     h = L.shape[0] // 2
-    G = L[:h, :h].T @ L[h:, :h]
-    W = G - G.T
-    M = L[:h, :h].T @ L[h:, h:]
-    nu = np.sqrt(np.maximum(_block_eigvalsh(W.T @ W + M @ M.T, M.T @ W, M.T @ M)[1::2], 0.0))
-    if h == 0 or nu[-1] <= 2.0 * nu[0]:
-        return nu
-    N = np.linalg.inv(M)
-    Z = N @ W @ N.T
-    inv_sq = _block_eigvalsh(N.T @ N, Z.T @ N, N @ N.T + Z.T @ Z)[::-1][1::2]
-    small = int(np.count_nonzero(nu * nu < nu[-1] * nu[0]))
-    nu[:small] = 1.0 / np.sqrt(inv_sq[:small])
-    return np.sort(nu)
+    sv = np.linalg.svd(L.T @ np.vstack([L[h:], -L[:h]]), compute_uv=False)
+    return sv[::-1][1::2]
 
 
 def _kept_covariance(A: np.ndarray, n: int) -> np.ndarray:
@@ -298,8 +282,7 @@ def exact_entropy(A: np.ndarray, n: int) -> float:
     if not A[:n, n:].any():
         return 0.0
     nu = _williamson(_cholesky(cov, "reduced covariance is not positive definite"))
-    if nu.min() < 0.5 - 1e-8:
-        raise ConsistencyError(f"unphysical covariance: nu_min = {nu.min():.12g} < 1/2")
+    _check_nu_min(nu)
     return _entropy_sum(np.maximum(nu, 0.5))
 
 
@@ -401,26 +384,28 @@ def _window_width(rows: dict) -> int:
 
 
 def _window_spectrum(rows: dict, k: int) -> np.ndarray | None:
-    """Williamson values of a side of k sites from the w sites beside each cut
-    point, w = `_window_width(rows)`; None when 4w >= k, where the windows of
-    the two cut points do not lie well apart.
+    """Williamson values of a side A of k sites from the w sites beside each
+    cut point, w = `_window_width(rows)`; None when 4w >= k, where the windows
+    of the two cut points do not lie well apart.
 
-    The global state is pure, so the AA block of (Omega Gamma)^2 = -I/4 gives
-    nu^2 - 1/4 = eig(Omega G Omega G^T), G the cross covariance Gamma_AB.
-    Past the cone G is zero to rounding, so only its block between the w sites
-    of A and of B beside each cut point is kept. Folded into the reflection
-    sectors as in `_fold`, with s = +1 (even) or -1 (odd) and i, j < w,
+    The global state is pure, so its covariance [[V, G], [G^T, W]] (G the
+    cross covariance Gamma_AB) has V Omega G = -G Omega W, and with
+    L_V L_V^T = V, L_W L_W^T = W the products M = L_V^{-1} G Omega L_W give
+    M M^T = K^T K - I/4, K = L_V^T Omega L_V: every nu^2 - 1/4 is a squared
+    singular value of M, twice. Past the cone G is zero to rounding, so only
+    its block between the w sites of A and of B beside each cut point is
+    kept, with the covariances V_s, W_s of those windows. Folded into the
+    reflection sectors as in `_fold`, with s = +1 (even) or -1 (odd) and
+    i, j < w,
 
         G_s[i, j] = r[i + j + 1] + s r[k + j - i],
-        V_s[i, j] = r[|i - j|] + s r[k - 1 - i - j]
+        V_s[i, j] = r[|i - j|] + s r[k - 1 - i - j],
+        W_s[i, j] = r[|i - j|] + s r[N - k - 1 - i - j]
 
-    for each row r, in (x, p) blocks (k + w < N, so no lag wraps); V_s is
-    the covariance of A's window.
-    S = V_s Omega G_s Omega G_s^T is symmetric (it is -V/4 - V Omega V Omega V
-    on the whole side), so with L = chol(V_s) every mu = nu^2 - 1/4 is an
-    eigenvalue, twice, of the symmetric L^{-1} S L^{-T}. The other k - 2w
-    values are 1/2. The caller cross-checks the result against the whole
-    side's covariance.
+    for each row r, in (x, p) blocks (k + w < N, so no lag wraps). So
+    nu = sqrt(1/4 + sigma^2) >= 1/2 for the singular values sigma of
+    L_V^{-1} G_s Omega L_W; the other k - 2w values are 1/2. The caller
+    cross-checks the result against the whole side's covariance.
     """
     w = _window_width(rows)
     if 4 * w >= k:
@@ -428,27 +413,28 @@ def _window_spectrum(rows: dict, k: int) -> np.ndarray | None:
     x, xp, pp = 0.5 * rows["inv_real"], rows["xp"], rows["pp"]
     i = np.arange(w)
     near, far = i[:, None] + i + 1, k + i - i[:, None]
-    diff, wrap = np.abs(i[:, None] - i), k - 1 - i[:, None] - i
+    diff, wrap = np.abs(i[:, None] - i), -1 - i[:, None] - i
     nu = []
     for s in (1.0, -1.0):
         gx, gc, gp = (r[near] + s * r[far] for r in (x, xp, pp))
-        vx, vc, vp = (r[diff] + s * r[wrap] for r in (x, xp, pp))
-        V = np.block([[vx, vc], [vc, vp]])
-        try:
-            L_inv = np.linalg.inv(np.linalg.cholesky(V))
-        except np.linalg.LinAlgError:
-            return None
-        S = V @ np.block([[-gp, gc], [gc, -gx]]) @ np.block([[gx, gc], [gc, gp]]).T
-        mu = np.linalg.eigvalsh(L_inv @ S @ L_inv.T)[1::2]
-        nu.append(np.sqrt(np.maximum(0.25 + mu, 0.0)))
+        factors = []
+        for size in (k, x.size - k):  # A's window, then B's
+            vx, vc, vp = (r[diff] + s * r[size + wrap] for r in (x, xp, pp))
+            try:
+                factors.append(np.linalg.cholesky(np.block([[vx, vc], [vc, vp]])))
+            except np.linalg.LinAlgError:
+                return None
+        L_v, L_w = factors
+        M = np.linalg.solve(L_v, np.block([[-gc, gx], [-gp, gc]]) @ L_w)
+        sigma = np.linalg.svd(M, compute_uv=False)[::-1][1::2]
+        nu.append(np.sqrt(0.25 + sigma * sigma))
     return np.concatenate(nu)
 
 
 def _check_spectrum(nu: np.ndarray, k: int, ld_v: float) -> None:
     """nu_min >= 1/2, and sum ln 2 nu against (1/2) ln det 2V = k ln 2 + ld_v / 2,
     ld_v = ln det V of the k-site side (ConsistencyError)."""
-    if nu.min() < 0.5 - 1e-8:
-        raise ConsistencyError(f"unphysical covariance: nu_min = {nu.min():.12g} < 1/2")
+    _check_nu_min(nu)
     _check_purity_forms(-float(np.sum(np.log(2.0 * nu))), -k * _LN2 - 0.5 * ld_v)
 
 
@@ -475,10 +461,11 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
     its reflection sectors (module docstring), and every factorisation and
     the Williamson spectrum are taken per sector and combined.
 
-    nu comes from the light-cone windows (`_window_spectrum`) when they fit
-    and their values pass the nu_min and purity-forms checks against V's
-    Cholesky factor, a cross-check of the truncation on every row. Otherwise,
-    or when the windows do not fit, it is `_williamson` of the sector factors,
+    nu comes from the singular values of the light-cone windows' cross
+    covariance (`_window_spectrum`) when they fit and their values pass the
+    nu_min and purity-forms checks against V's Cholesky factor, a
+    cross-check of the truncation on every row. Otherwise, or when the
+    windows do not fit, it is `_williamson`, an SVD, of the sector factors,
     held to the same two checks, which then raise.
     """
     a = np.asarray(state.mode_symbols, dtype=complex)

@@ -637,9 +637,19 @@ def test_dense_ring_rows_take_the_window_route(monkeypatch):
 
 @pytest.mark.parametrize("c", [1.5, 1.1, 3.0])
 def test_window_route_squeezed_width_scan(c, monkeypatch):
-    # strongly squeezed widths: where the window kernel's small nu lose
-    # accuracy the cross-check rejects them and the whole side takes over, so
-    # a row raises only where the whole-side route raises too
+    # strongly squeezed widths: where the window values miss the whole side's
+    # (1/2) ln det 2V the cross-check rejects them and the whole side takes
+    # over, so a row raises only where the whole-side route raises too. Every
+    # window value is sqrt(1/4 + sigma^2), never below 1/2
+    window_nu = []
+    real_window = reduction._window_spectrum
+
+    def recording(rows, k):
+        nu = real_window(rows, k)
+        window_nu.extend([] if nu is None else nu)
+        return nu
+
+    monkeypatch.setattr(reduction, "_window_spectrum", recording)
     for beta in ((300.0,), (1000.0,), (0.003,), (30.0, 10.0), (1e4,)):
         for N in (256, 512, 1025):
             for t in (1.0, 3.0, 10.0, 50.0):
@@ -654,16 +664,44 @@ def test_window_route_squeezed_width_scan(c, monkeypatch):
                     continue
                 assert rec.exact_entropy >= rec.neg_log_purity - 1e-8
                 assert rec.neg_log_purity >= rec.det_bound - 1e-8
+    assert len(window_nu) > 0 and min(window_nu) >= 0.5
+
+
+@pytest.mark.parametrize("c, beta, t, sizes, entropy_tol", [
+    (1.5, 1e4, 1.0, (256, 512, 1024, 2048), 1e-9),
+    (3.0, 0.003, 10.0, (512, 1024, 2048), 1e-10),
+])
+def test_window_spectrum_independent_of_ring_size(c, beta, t, sizes, entropy_tol):
+    # strongly squeezed widths whose cone spans far fewer sites than a quarter
+    # of the half cut, so the window values cannot depend on N. The whole
+    # side's (1/2) ln det 2V drifts by up to 6e-7 on these rows, and with the
+    # BLAS thread count, so the route the cross-check picks is not asserted
+    sums, entropies = [], []
+    for N in sizes:
+        state = evolve(EvolutionSetup(gap_family(c), TrigPolynomial([beta]), N), t)
+        rows = reduction._circulant_rows(np.asarray(state.mode_symbols, dtype=complex))
+        nu = reduction._window_spectrum(rows, N // 2)
+        sums.append(float(np.sum(np.log(2.0 * nu))))
+        entropies.append(reduction._entropy_sum(nu))
+    assert max(sums) - min(sums) <= 1e-9, sums
+    assert max(entropies) - min(entropies) <= entropy_tol, entropies
 
 
 def test_window_short_of_the_cone_is_rejected(monkeypatch):
     state = evolve(EvolutionSetup(LAM15, TrigPolynomial([1.05, 0.05]), 512), 5.0)
     rows = reduction._circulant_rows(np.asarray(state.mode_symbols, dtype=complex))
-    # one site short of the 1e-6 cone: a row entry of 1e-6 of its norm is dropped
+    # one site short of the 1e-6 cone: a row entry of 1e-6 of its norm is
+    # dropped, and the singular values move by its square
     edge = max(int(np.flatnonzero(np.abs(r[:257]) > 1e-6 * np.linalg.norm(r))[-1]) + 1
                for r in (rows["inv_real"], rows["xp"], rows["pp"]))
     assert 4 * edge < 256 and edge < reduction._window_width(rows)
     monkeypatch.setattr(reduction, "_window_width", lambda rows: edge - 1)
+    rec, full, calls = _window_and_full(state, 256, monkeypatch)
+    assert calls == []  # the window route
+    for field in ("exact_entropy", "neg_log_purity"):
+        assert abs(getattr(rec, field) - getattr(full, field)) <= 1e-12, field
+    # far short of it, the window misses by about 1e-3 and the check rejects it
+    monkeypatch.setattr(reduction, "_window_width", lambda rows: 12)
     assert reduction._window_spectrum(rows, 256) is not None
     rec, full, calls = _window_and_full(state, 256, monkeypatch)
     assert calls == [(256, 256), (256, 256)]  # the fallback
@@ -691,7 +729,7 @@ def test_window_route_declines_edge_cuts_and_wide_cones(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Williamson spectrum: one real eigvalsh, against the SVD and eigvals(Omega V) oracles
+# Williamson spectrum: one SVD, against the eigvalsh and eigvals(Omega V) oracles
 # ---------------------------------------------------------------------------
 
 def _omega_eigvals_spectrum(cov):
@@ -705,12 +743,37 @@ def _omega_eigvals_spectrum(cov):
     return np.sort(np.abs(ev.imag))[1::2]
 
 
-def _svd_williamson(L):
-    """Williamson spectrum of V = L L^T from the singular values of L^T Omega L,
-    each nu appearing twice: the library's earlier kernel, kept as an oracle."""
+def _block_eigvalsh(top, lower, bottom):
+    """Ascending eigenvalues of the symmetric [[top, lower^T], [lower, bottom]]."""
+    h = top.shape[0]
+    S = np.zeros((2 * h, 2 * h))
+    S[:h, :h], S[h:, :h], S[h:, h:] = top, lower, bottom
+    return np.linalg.eigvalsh(S)
+
+
+def _eigvalsh_williamson(L):
+    """Williamson spectrum of V = L L^T from eigensolves of the squares of
+    K = L^T Omega L, the library's earlier kernel, kept as an oracle.
+
+    With L = [[L11, 0], [L21, L22]] (h x h blocks), G = L11^T L21, W = G - G^T
+    and M = L11^T L22, K = [[W, M], [-M^T, 0]], and K^T K has every nu^2 twice.
+    When nu_max > 2 nu_min, the nu with nu^2 < nu_max nu_min come instead from
+    the largest eigenvalues 1 / nu^2 of K^{-T} K^{-1}, K^{-1} = [[0, -N^T],
+    [N, N W N^T]], N = M^{-1}, to win back the accuracy that squaring K costs
+    at the small end of a wide spectrum."""
     h = L.shape[0] // 2
-    sv = np.linalg.svd(L.T @ np.vstack([L[h:], -L[:h]]), compute_uv=False)
-    return sv[::-1][1::2]
+    G = L[:h, :h].T @ L[h:, :h]
+    W = G - G.T
+    M = L[:h, :h].T @ L[h:, h:]
+    nu = np.sqrt(np.maximum(_block_eigvalsh(W.T @ W + M @ M.T, M.T @ W, M.T @ M)[1::2], 0.0))
+    if h == 0 or nu[-1] <= 2.0 * nu[0]:
+        return nu
+    N = np.linalg.inv(M)
+    Z = N @ W @ N.T
+    inv_sq = _block_eigvalsh(N.T @ N, Z.T @ N, N @ N.T + Z.T @ Z)[::-1][1::2]
+    small = int(np.count_nonzero(nu * nu < nu[-1] * nu[0]))
+    nu[:small] = 1.0 / np.sqrt(inv_sq[:small])
+    return np.sort(nu)
 
 
 def _pure_covariance(A):
@@ -748,8 +811,8 @@ def test_williamson_matches_omega_eigvals_oracle():
             assert nu.shape == (h,)
             assert np.all(np.diff(nu) >= 0.0)
             assert np.abs(nu - ref).max(initial=0.0) <= 1e-12 * ref.max(initial=1.0), h
-            svd = _svd_williamson(np.linalg.cholesky(V))
-            assert np.abs(svd - ref).max(initial=0.0) <= 1e-12 * ref.max(initial=1.0), h
+            oracle = _eigvalsh_williamson(np.linalg.cholesky(V))
+            assert np.abs(oracle - ref).max(initial=0.0) <= 1e-12 * ref.max(initial=1.0), h
 
 
 def test_williamson_strongly_squeezed():
@@ -766,7 +829,7 @@ def test_williamson_strongly_squeezed():
         got = reduction._williamson(L)
         assert np.abs(got - nu).max() <= 1e-9 * nu.max()
         assert np.abs(got - _omega_eigvals_spectrum(V)).max() <= 1e-9 * nu.max()
-        assert np.abs(got - _svd_williamson(L)).max() <= 1e-9 * nu.max()
+        assert np.abs(got - _eigvalsh_williamson(L)).max() <= 1e-9 * nu.max()
     # a strongly squeezed initial width on the dense route
     N, n = 32, 16
     dense = _dense_state(LAM15, TrigPolynomial([300.0]), N, 3.0)
@@ -785,25 +848,25 @@ def _sector_factors(state, k):
     return [np.linalg.cholesky(np.block([[x, c], [c, p]])) for x, c, p in zip(xx, xp, pp)]
 
 
-def test_williamson_matches_svd_oracle_on_dense_ring_sectors():
+def test_williamson_matches_eigvalsh_oracle_on_dense_ring_sectors():
     # the benchmark's dense-ring row: N = 512, n = 256, two sectors of h = 128.
     # symbol_record takes this row's spectrum from the light-cone windows; the
-    # whole side's kernel, its fallback, is held to the SVD oracle here
+    # whole side's kernel, its fallback, is held to the eigvalsh oracle here
     state = evolve(EvolutionSetup(LAM15, TrigPolynomial([1.05, 0.05]), 512), 10.0)
     factors = _sector_factors(state, 256)
     assert [L.shape for L in factors] == [(256, 256), (256, 256)]
     for L in factors:
-        got, ref = reduction._williamson(L), _svd_williamson(L)
+        got, ref = reduction._williamson(L), _eigvalsh_williamson(L)
         assert np.abs(got - ref).max() <= 1e-12 * ref.max()
 
 
-def test_williamson_wide_spectrum_takes_small_end_from_inverse(monkeypatch):
-    # a strongly squeezed width at t = 50: nu_max ~ 4.6e3 against nu_min ~ 1/2. From
-    # K^T K alone the small nu carry a relative error ~ eps (nu_max / nu)^2 ~ 1e-8,
-    # which trips the purity-forms check; K^{-1} gives them the SVD's accuracy
+def test_williamson_wide_spectrum_matches_eigvalsh_oracle(monkeypatch):
+    # a strongly squeezed width at t = 50: nu_max ~ 4.6e3 against nu_min ~ 1/2.
+    # The SVD keeps every nu within about eps nu_max, as the oracle's second
+    # eigensolve of K^{-T} K^{-1} does for the small end
     state = evolve(EvolutionSetup(LAM15, TrigPolynomial([1e4]), 256), 50.0)
     factors, shapes = [], []
-    real_williamson, real_eigvalsh = reduction._williamson, np.linalg.eigvalsh
+    real_williamson, real_svd = reduction._williamson, np.linalg.svd
 
     def recording(L):
         factors.append(L)
@@ -811,15 +874,15 @@ def test_williamson_wide_spectrum_takes_small_end_from_inverse(monkeypatch):
 
     def counting(a, *args, **kwargs):
         shapes.append(a.shape)
-        return real_eigvalsh(a, *args, **kwargs)
+        return real_svd(a, *args, **kwargs)
 
     monkeypatch.setattr(reduction, "_williamson", recording)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(np.linalg, "svd", counting)
     rec = symbol_record(state, 128)
     assert rec.exact_entropy > rec.neg_log_purity > rec.det_bound > 0.0
-    assert shapes == [(128, 128)] * 4  # K^T K and K^{-T} K^{-1} per sector
+    assert shapes == [(128, 128)] * 2  # one K per sector
     for L in factors:
-        got, ref = real_williamson(L), _svd_williamson(L)
+        got, ref = real_williamson(L), _eigvalsh_williamson(L)
         assert ref.max() > 1e3 and ref.min() < 0.6
         assert np.abs(got / ref - 1.0).max() <= 1e-10
         # det V = prod nu^2, and the Cholesky factor gives ln det V to rounding
@@ -841,22 +904,22 @@ def test_williamson_closed_forms():
         assert one.shape == (1,) and abs(one[0] - c / 2) <= 1e-15 * c
 
 
-def test_williamson_spectra_come_from_one_real_eigvalsh(monkeypatch):
+def test_williamson_spectra_come_from_one_svd(monkeypatch):
     state = evolve(EvolutionSetup(LAM15, TrigPolynomial([1.05, 0.05]), 32), 10.0)
     dense = densify(state)
     shapes = []
-    real_eigvalsh = np.linalg.eigvalsh
+    real_svd = np.linalg.svd
 
     def counting(a, *args, **kwargs):
-        assert a.dtype.kind == "f"
+        assert a.dtype.kind == "f" and kwargs == {"compute_uv": False}
         shapes.append(a.shape)
-        return real_eigvalsh(a, *args, **kwargs)
+        return real_svd(a, *args, **kwargs)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("SVD or general eigenvalue solve on a Williamson route")
+        raise AssertionError("eigensolve on a Williamson route")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    for name in ("svd", "eigvals", "eig", "eigh"):
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    for name in ("eigvalsh", "eigvals", "eig", "eigh"):
         monkeypatch.setattr(np.linalg, name, forbidden)
     symbol_record(state, 12)
     assert shapes == [(12, 12), (12, 12)]  # one per reflection sector, h = 6
