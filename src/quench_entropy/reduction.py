@@ -27,15 +27,18 @@ a symbol built from the mode amplitudes. The pipeline and `verify` use it; the
 dense functions stay as its reference implementation, used by the tests and
 `verify`.
 
-The smaller side is an interval and every symbol is even, so each block
-`symbol_record` cuts, a symmetric Toeplitz matrix, commutes with the
-reflection J of the interval: J B J = B. In the orthonormal basis
-(e_i +- e_{k-1-i})/sqrt(2) (the middle index of an odd size counts as even)
-every block is then the direct sum of an even and an odd sector, and
-`symbol_record` runs its linear algebra once per sector at half the size. The
-basis change is orthogonal and acts on x and p alike, so it is also
-symplectic: positivity, log-determinants and the Williamson spectrum all split
-over the two sectors.
+The smaller side is an interval and every symbol is even, so each block of
+that side, the symmetric Toeplitz matrix B[i, j] = r[|i - j|] of a circulant
+row r, commutes with the reflection J of the interval: J B J = B. In the
+orthonormal basis (e_i +- e_{k-1-i})/sqrt(2) (the middle index of an odd size
+counts as even) every block is then the direct sum of an even and an odd
+sector, and `symbol_record` runs its linear algebra once per sector at half
+the size. The basis change is orthogonal and acts on x and p alike, so it is
+also symplectic: positivity, log-determinants and the Williamson spectrum all
+split over the two sectors. `_sectors` reads each sector straight from the
+row, r[|i - j|] +- r[k - 1 - i - j], for the whole side and for the
+light-cone windows alike, so no k x k block is ever built; `_covariances`
+assembles the covariance of each sector from those of the rows.
 
 Correlations across the cut vanish, to rounding, outside a light cone of
 width w (Lieb-Robinson bounds for harmonic lattices), so at most 2w of a
@@ -336,32 +339,33 @@ def _circulant_rows(a: np.ndarray) -> dict:
         }
 
 
-def _toeplitz(col: np.ndarray) -> np.ndarray:
-    """Symmetric Toeplitz matrix with first column col.
+def _sectors(r: np.ndarray, size: int, w: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd reflection sectors of the block r[|i - j|] of a side of
+    `size` sites, or their leading w x w blocks, which hold the w sites
+    beside each end of the side.
 
-    Entries are copied, never computed, so each block equals the matching
-    block of the dense matrix.
+    They are the two diagonal blocks of Q B Q^T, with Q the basis
+    (e_i +- e_{size-1-i})/sqrt(2); its off-diagonal blocks vanish, so they
+    are read from the row as r[|i - j|] +- r[size - 1 - i - j], copies and
+    one sum each, without building B or a product with Q.
     """
-    # row i of the result is the window vals[col.size - 1 - i:][:col.size]
-    vals = np.concatenate((col[::-1], col[1:]))
-    return np.lib.stride_tricks.sliding_window_view(vals, col.size)[::-1].copy()
-
-
-def _fold(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd reflection sectors of a block B with J_r B J_c = B.
-
-    They are the two diagonal blocks of Q_r B Q_c^T, with Q the basis
-    (e_i +- e_{k-1-i})/sqrt(2); its off-diagonal blocks vanish, so they are
-    read as sums and differences of B's entries, without a product with Q.
-    """
-    r, c = B.shape
-    flip = B[:, ::-1]
-    even = B[:(r + 1) // 2, :(c + 1) // 2] + flip[:(r + 1) // 2, :(c + 1) // 2]
+    h = size // 2
+    i = np.arange(size - h if w is None else w)
+    near, far = r[np.abs(i[:, None] - i)], r[size - 1 - i[:, None] - i]
+    even = near + far
     # an odd size's middle row or column carries weight 1, not 1/sqrt(2)
-    even[r // 2:, :c // 2] *= _SQRT_HALF
-    even[:r // 2, c // 2:] *= _SQRT_HALF
-    even[r // 2:, c // 2:] *= 0.5
-    return even, B[:r // 2, :c // 2] - flip[:r // 2, :c // 2]
+    even[h:, :h] *= _SQRT_HALF
+    even[:h, h:] *= _SQRT_HALF
+    even[h:, h:] *= 0.5
+    return even, (near - far)[:h, :h]
+
+
+def _covariances(rows: dict, size: int, w: int | None = None) -> list[np.ndarray]:
+    """Per reflection sector, even then odd, the covariance [[xx, xp], [xp, pp]]
+    of a side of `size` sites (xx = inv_real / 2), or of its w sites beside
+    each end, as `_sectors` cuts them."""
+    xx, xp, pp = (_sectors(r, size, w) for r in (0.5 * rows["inv_real"], rows["xp"], rows["pp"]))
+    return [np.block([[x, c], [c, p]]) for x, c, p in zip(xx, xp, pp)]
 
 
 def _window_width(rows: dict) -> int:
@@ -394,15 +398,15 @@ def _window_spectrum(rows: dict, k: int) -> np.ndarray | None:
     M M^T = K^T K - I/4, K = L_V^T Omega L_V: every nu^2 - 1/4 is a squared
     singular value of M, twice. Past the cone G is zero to rounding, so only
     its block between the w sites of A and of B beside each cut point is
-    kept, with the covariances V_s, W_s of those windows. Folded into the
-    reflection sectors as in `_fold`, with s = +1 (even) or -1 (odd) and
-    i, j < w,
+    kept, with the covariances V_s, W_s of those windows. In the reflection
+    sectors, s = +1 (even) or -1 (odd), with i, j < w and for each row r,
 
         G_s[i, j] = r[i + j + 1] + s r[k + j - i],
         V_s[i, j] = r[|i - j|] + s r[k - 1 - i - j],
-        W_s[i, j] = r[|i - j|] + s r[N - k - 1 - i - j]
+        W_s[i, j] = r[|i - j|] + s r[N - k - 1 - i - j],
 
-    for each row r, in (x, p) blocks (k + w < N, so no lag wraps). So
+    in (x, p) blocks (k + w < N, so no lag wraps); V_s and W_s are the
+    leading w x w blocks of the sectors of A and of B, from `_covariances`. So
     nu = sqrt(1/4 + sigma^2) >= 1/2 for the singular values sigma of
     L_V^{-1} G_s Omega L_W; the other k - 2w values are 1/2. The caller
     cross-checks the result against the whole side's covariance.
@@ -411,20 +415,16 @@ def _window_spectrum(rows: dict, k: int) -> np.ndarray | None:
     if 4 * w >= k:
         return None
     x, xp, pp = 0.5 * rows["inv_real"], rows["xp"], rows["pp"]
+    try:  # A's window sectors, then B's
+        factors = [[np.linalg.cholesky(V) for V in _covariances(rows, size, w)]
+                   for size in (k, x.size - k)]
+    except np.linalg.LinAlgError:
+        return None
     i = np.arange(w)
     near, far = i[:, None] + i + 1, k + i - i[:, None]
-    diff, wrap = np.abs(i[:, None] - i), -1 - i[:, None] - i
     nu = []
-    for s in (1.0, -1.0):
+    for s, L_v, L_w in zip((1.0, -1.0), *factors):
         gx, gc, gp = (r[near] + s * r[far] for r in (x, xp, pp))
-        factors = []
-        for size in (k, x.size - k):  # A's window, then B's
-            vx, vc, vp = (r[diff] + s * r[size + wrap] for r in (x, xp, pp))
-            try:
-                factors.append(np.linalg.cholesky(np.block([[vx, vc], [vc, vp]])))
-            except np.linalg.LinAlgError:
-                return None
-        L_v, L_w = factors
         M = np.linalg.solve(L_v, np.block([[-gc, gx], [-gp, gc]]) @ L_w)
         sigma = np.linalg.svd(M, compute_uv=False)[::-1][1::2]
         nu.append(np.sqrt(0.25 + sigma * sigma))
@@ -443,9 +443,9 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
 
     Every block the dense route reads is a Toeplitz matrix cut from the row of
     a circulant, one inverse DFT of a symbol built from the mode symbols. Only
-    the smaller side, k = min(n, N - n) sites, is built: R~_k of Re A, P~_k of
-    (Re A)^{-1} and the reduced covariance V, with blocks xx = P~_k / 2, xp and
-    pp. With nu the Williamson spectrum of V,
+    the smaller side's blocks, of k = min(n, N - n) sites, are read: R~_k of
+    Re A, P~_k of (Re A)^{-1} and the reduced covariance V, with blocks
+    xx = P~_k / 2, xp and pp. With nu the Williamson spectrum of V,
 
         exact_entropy = sum s(nu),   neg_log_purity = sum ln 2 nu,
         det_bound = (1/2) (ln det 2 V_xx + ln det R~_k),
@@ -457,9 +457,10 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
     block-row residual |(Re A (Re A)^{-1} - I)[:k, :k]|_F, from one circular
     convolution of the two rows, checks the symbol 1/Lambda against Re A and
     is returned for the caller to judge. An exactly zero coupling block gives
-    exactly zero columns, as on the dense route. Each block is folded into
-    its reflection sectors (module docstring), and every factorisation and
-    the Williamson spectrum are taken per sector and combined.
+    exactly zero columns, as on the dense route. The sectors of R~_k and of V
+    are read from the rows (`_sectors`, `_covariances`; module docstring),
+    and every factorisation and the Williamson spectrum are taken per sector
+    and combined.
 
     nu comes from the singular values of the light-cone windows' cross
     covariance (`_window_spectrum`) when they fit and their values pass the
@@ -492,15 +493,12 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
     d[0] -= 1.0
     lag = np.arange(1 - k, k)
     residual = float(np.sqrt(np.sum((k - np.abs(lag)) * d[lag] ** 2)))
-    sectors = zip(_fold(_toeplitz(re[:k])), _fold(_toeplitz(p[:k])),
-                  _fold(_toeplitz(rows["xp"][:k])), _fold(_toeplitz(rows["pp"][:k])))
     factors = []
     ld_r = ld_xx = ld_v = 0.0
-    for R, P, xp, pp in sectors:
+    for R, V in zip(_sectors(re, k), _covariances(rows, k)):
         L_r = _cholesky(R, "real part of the smaller side's block is not positive definite")
         ld_r += 2.0 * float(np.sum(np.log(np.diag(L_r))))
-        L = _cholesky(np.block([[0.5 * P, xp], [xp, pp]]),
-                      "reduced covariance is not positive definite")
+        L = _cholesky(V, "reduced covariance is not positive definite")
         # the leading block of L is the Cholesky factor of V_xx
         log_diag = np.log(np.diag(L))
         ld_xx += 2.0 * float(np.sum(log_diag[:R.shape[0]]))

@@ -223,10 +223,6 @@ def parse_spectral_spec(text: str) -> TrigPolynomial:
     raise SpectralSpecError(f"unknown spectral spec format: {text!r}")
 
 
-def format_spectral_spec(f: TrigPolynomial) -> str:
-    return "poly:" + ",".join(repr(float(a)) for a in f.coeffs)
-
-
 def build_circulant(f: TrigPolynomial, N: int) -> CirculantMatrix:
     """Circulant matrix with symbol f.
 

@@ -22,7 +22,7 @@ from quench_entropy import (ConsistencyError, EvolutionSetup,
                             entropy_record, evolve, exact_entropy, gap_family,
                             partition, purity, reduce, symbol_record)
 from quench_entropy import reduction
-from quench_entropy.reduction import _fold, _toeplitz, logdet_pd
+from quench_entropy.reduction import logdet_pd
 
 LAM15 = gap_family(1.5)
 FLAT = TrigPolynomial([1.0])
@@ -57,6 +57,32 @@ def _random_instance(rng, sizes=(16, 32)):
     return lam, beta, N, t
 
 
+def _toeplitz(col):
+    """Symmetric Toeplitz matrix with first column col, entries copied: the
+    library's earlier block builder, kept as an oracle."""
+    # row i of the result is the window vals[col.size - 1 - i:][:col.size]
+    vals = np.concatenate((col[::-1], col[1:]))
+    return np.lib.stride_tricks.sliding_window_view(vals, col.size)[::-1].copy()
+
+
+def _fold(B):
+    """Even and odd reflection sectors of a block B with J_r B J_c = B, the
+    library's earlier fold, kept as an oracle.
+
+    They are the two diagonal blocks of Q_r B Q_c^T, with Q the basis
+    (e_i +- e_{k-1-i})/sqrt(2); its off-diagonal blocks vanish, so they are
+    read as sums and differences of B's entries, without a product with Q.
+    """
+    r, c = B.shape
+    flip = B[:, ::-1]
+    even = B[:(r + 1) // 2, :(c + 1) // 2] + flip[:(r + 1) // 2, :(c + 1) // 2]
+    # an odd size's middle row or column carries weight 1, not 1/sqrt(2)
+    even[r // 2:, :c // 2] *= np.sqrt(0.5)
+    even[:r // 2, c // 2:] *= np.sqrt(0.5)
+    even[r // 2:, c // 2:] *= 0.5
+    return even, B[:r // 2, :c // 2] - flip[:r // 2, :c // 2]
+
+
 # ---------------------------------------------------------------------------
 # densify
 # ---------------------------------------------------------------------------
@@ -87,7 +113,7 @@ def test_densify_matches_scipy_circulant():
 
 
 def test_toeplitz_matches_scipy():
-    # the square symmetric blocks symbol_record cuts
+    # the oracle fold's square symmetric blocks
     linalg = pytest.importorskip("scipy.linalg")
     rng = np.random.default_rng(43)
     for n in (1, 2, 5, 8):
@@ -437,23 +463,42 @@ def test_symbol_record_error_types_match_dense():
 
 @pytest.mark.parametrize("N", [16, 17, 64])
 def test_symbol_record_blocks_reflection_symmetric(N, monkeypatch):
-    # the sector fold is exact only because every block it is handed equals
-    # its double reversal bit for bit
-    cut = []
-    real_fold = reduction._fold
-
-    def recording(B):
-        cut.append(B)
-        return real_fold(B)
-
-    monkeypatch.setattr(reduction, "_fold", recording)
+    # the sector fold is exact only because every block equals its double
+    # reversal bit for bit; the sectors symbol_record factors are the oracle
+    # fold of the dense k x k block of Re A and of the rows' Toeplitz blocks
+    factored = []
+    real_cholesky = reduction._cholesky
+    monkeypatch.setattr(reduction, "_cholesky",
+                        lambda M, message: factored.append(M) or real_cholesky(M, message))
     state = evolve(EvolutionSetup(LAM15, TrigPolynomial([1.0, 0.1, -0.05]), N), 3.7)
+    dense = densify(state).real
+    rows = reduction._circulant_rows(np.asarray(state.mode_symbols, dtype=complex))
     for n in range(1, N):
-        cut.clear()
+        k = min(n, N - n)
+        factored.clear()
         symbol_record(state, n)
-        assert len(cut) == 4  # R~, P~, and the xp and pp blocks
-        for B in cut:
-            assert np.array_equal(B, B[::-1, ::-1]), (N, n, B.shape)
+        block = dense[:k, :k]
+        assert np.array_equal(block, block[::-1, ::-1]), (N, n)
+        xx, xp, pp = (_fold(_toeplitz(r[:k])) for r in (0.5 * rows["inv_real"], rows["xp"], rows["pp"]))
+        covariances = [np.block([[x, c], [c, p]]) for x, c, p in zip(xx, xp, pp)]
+        # R~ then V, for the even sector and then the odd one
+        assert len(factored) == 4
+        for got, want in zip(factored, [M for R, V in zip(_fold(block), covariances) for M in (R, V)]):
+            assert np.array_equal(got, want), (N, n, got.shape)
+
+
+def test_sectors_match_the_oracle_fold():
+    # every size, odd and even, and every window short of a quarter of the
+    # side, read from a row longer than the side
+    rng = np.random.default_rng(71)
+    for size in range(1, 65):
+        r = rng.normal(size=size + 5)
+        want = _fold(_toeplitz(r[:size]))
+        for got, ref in zip(reduction._sectors(r, size), want):
+            assert np.array_equal(got, ref), size
+        for w in range(1, (size - 1) // 4 + 1):
+            for got, ref in zip(reduction._sectors(r, size, w), want):
+                assert np.array_equal(got, ref[:w, :w]), (size, w)
 
 
 def _reflection_basis(k):
@@ -844,8 +889,7 @@ def _sector_factors(state, k):
     """Cholesky factors of the two reflection sectors of the k-site side's
     covariance, cut from the rows `symbol_record` uses."""
     rows = reduction._circulant_rows(np.asarray(state.mode_symbols, dtype=complex))
-    xx, xp, pp = (_fold(_toeplitz(r[:k])) for r in (0.5 * rows["inv_real"], rows["xp"], rows["pp"]))
-    return [np.linalg.cholesky(np.block([[x, c], [c, p]])) for x, c, p in zip(xx, xp, pp)]
+    return [np.linalg.cholesky(V) for V in reduction._covariances(rows, k)]
 
 
 def test_williamson_matches_eigvalsh_oracle_on_dense_ring_sectors():
