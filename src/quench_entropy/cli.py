@@ -16,27 +16,22 @@ import json
 import sys
 
 from . import pipeline
-from .errors import (ConsistencyError, CriticalSymbolError, DivergenceError,
-                     IllConditionedError, QuadratureError, SpectralSpecError,
-                     TailCriterionError)
+from .errors import QuenchEntropyError, SpectralSpecError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-_USAGE_ERRORS = (SpectralSpecError, ValueError)
-_NUMERICAL_ERRORS = (ConsistencyError, QuadratureError, TailCriterionError,
-                     IllConditionedError, DivergenceError, CriticalSymbolError)
-
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lambda", dest="lambda_spec", metavar="SPEC",
+    # each flag's dest is the config key it overrides (pipeline.CONFIG_FIELDS)
+    p.add_argument("--lambda", metavar="SPEC",
                    help="coupling spectrum: poly:a0,a1,... or gap:c=<value>")
-    p.add_argument("--beta", dest="beta_spec", metavar="SPEC",
+    p.add_argument("--beta", metavar="SPEC",
                    help="initial width spectrum (default poly:1)")
-    p.add_argument("-N", dest="N", type=int, help="chain size (default 64)")
-    p.add_argument("-n", dest="n", type=int, help="traced-out cut size (default N/2)")
+    p.add_argument("-N", type=int, help="chain size (default 64)")
+    p.add_argument("-n", type=int, help="traced-out cut size (default N/2)")
     p.add_argument("--t0", type=float, help="first time point (default 0)")
     p.add_argument("--t1", type=float, help="last time point (default 10)")
     p.add_argument("--steps", type=int, help="number of time points (default 21)")
@@ -56,36 +51,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_evolve = sub.add_parser("evolve", help="bound series over a time grid")
     _add_scenario_flags(p_evolve)
+    p_evolve.set_defaults(handler=_cmd_evolve)
 
     p_fig = sub.add_parser("figure1", help="growth curves for gap parameters 0.5, 1.0, 1.5")
     p_fig.add_argument("--out", metavar="DIR", default=".",
                        help="output directory (default current)")
     p_fig.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p_fig.set_defaults(handler=_cmd_figure1)
 
     p_verify = sub.add_parser("verify", help="run the invariant verification suites")
     p_verify.add_argument("--level", choices=("quick", "full"), default="quick")
     p_verify.add_argument("--out", metavar="PATH", help="report JSON path (default stdout)")
+    p_verify.set_defaults(handler=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="repeat a scenario over one swept parameter")
     p_sweep.add_argument("--param", required=True, choices=pipeline.SWEEP_PARAMS)
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated parameter values")
     _add_scenario_flags(p_sweep)
+    p_sweep.set_defaults(handler=_cmd_sweep)
     return parser
 
 
 def _scenario_from_args(args) -> pipeline.ScenarioConfig:
-    overrides = {
-        "lambda": args.lambda_spec, "beta": args.beta_spec,
-        "N": args.N, "n": args.n, "t0": args.t0, "t1": args.t1,
-        "steps": args.steps, "kmax": args.kmax, "jobs": args.jobs,
-    }
+    overrides = {key: getattr(args, key) for key in pipeline.CONFIG_FIELDS}
     if args.config:
         return pipeline.config_from_json(args.config, overrides)
-    merged = {k: v for k, v in overrides.items() if v is not None}
-    if "lambda" not in merged:
+    if overrides["lambda"] is None:
         raise SpectralSpecError("either --lambda or --config is required")
-    return pipeline.config_from_dict(merged)
+    return pipeline.config_from_dict(overrides)
 
 
 def _cmd_evolve(args) -> int:
@@ -123,15 +117,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    values_raw = [v for v in args.values.split(",") if v.strip()]
-    if not values_raw:
-        raise SpectralSpecError("sweep needs a non-empty --values list")
     try:
-        values = [float(v) for v in values_raw]
+        values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise SpectralSpecError(f"bad sweep value in {args.values!r}") from exc
-    if args.lambda_spec is None and args.config is None and args.param == "c":
-        args.lambda_spec = "gap:c=1.5"  # placeholder; every row replaces it
+    if getattr(args, "lambda") is None and args.config is None and args.param == "c":
+        setattr(args, "lambda", "gap:c=1.5")  # placeholder; every row replaces it
     config = _scenario_from_args(args)
     pipeline.write_text(pipeline.run_sweep(config, args.param, values), args.out)
     return EXIT_OK
@@ -144,23 +135,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse already printed the message; normalize its code
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    handlers = {
-        "evolve": _cmd_evolve,
-        "figure1": _cmd_figure1,
-        "verify": _cmd_verify,
-        "sweep": _cmd_sweep,
-    }
     try:
-        return handlers[args.command](args)
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return args.handler(args)
+    except (SpectralSpecError, ValueError, OSError) as exc:
+        error, code = exc, EXIT_USAGE
+    except QuenchEntropyError as exc:
+        error, code = exc, EXIT_NUMERICAL
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

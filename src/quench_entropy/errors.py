@@ -1,7 +1,9 @@
 """Exception hierarchy for the quench-entropy library.
 
-The CLI maps these onto exit codes: usage/config problems exit with 2,
-numerical-consistency problems with 3, verification failures with 1.
+The CLI maps these onto exit codes: a SpectralSpecError, like a bad value
+(ValueError) or an unreadable file (OSError), exits with 2; every other
+library error exits with 3; a failed verification or curve ordering exits
+with 1.
 """
 
 

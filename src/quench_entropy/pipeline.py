@@ -43,7 +43,7 @@ FIGURE1_SHORT_T_MAX = 0.1
 @dataclasses.dataclass(frozen=True)
 class ScenarioConfig:
     lambda_spec: str
-    beta_spec: str
+    beta_spec: str = "poly:1"
     N: int = 64
     n: int | None = None
     t0: float = 0.0
@@ -110,8 +110,15 @@ class BoundSeries:
         return np.array([getattr(r, name) for r in self.rows], dtype=float)
 
 
+# each config key with the ScenarioConfig field it sets; the CLI flag that
+# overrides a key has the key as its dest
+CONFIG_FIELDS = {"lambda": "lambda_spec", "beta": "beta_spec", "N": "N", "n": "n",
+                 "t0": "t0", "t1": "t1", "steps": "steps", "kmax": "k_max", "jobs": "jobs"}
+
+
 def config_from_json(path: str, overrides: dict | None = None) -> ScenarioConfig:
-    """Load a ScenarioConfig from a JSON file; overrides (from flags) win."""
+    """Load a ScenarioConfig from a JSON file; overrides (from flags) win
+    unless they are None."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -119,55 +126,54 @@ def config_from_json(path: str, overrides: dict | None = None) -> ScenarioConfig
         raise SpectralSpecError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise SpectralSpecError(f"config {path!r} must hold a JSON object")
-    merged = dict(raw)
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            merged[key] = val
-    return config_from_dict(merged)
+    given = {key: val for key, val in (overrides or {}).items() if val is not None}
+    return config_from_dict(raw | given)
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:
-    known = {"lambda", "beta", "N", "n", "t0", "t1", "steps", "kmax", "jobs"}
-    unknown = set(d) - known
+    """A ScenarioConfig from the config keys in `d`. A None value counts as
+    absent, so the field keeps its ScenarioConfig default."""
+    unknown = set(d) - set(CONFIG_FIELDS)
     if unknown:
         raise SpectralSpecError(f"unknown config keys: {sorted(unknown)}")
-    if "lambda" not in d:
+    given = {key: val for key, val in d.items() if val is not None}
+    if "lambda" not in given:
         raise SpectralSpecError("config needs a lambda spectral spec")
-    for key in ("N", "n", "steps", "kmax", "jobs", "t0", "t1"):
-        if isinstance(d.get(key), bool):
-            raise SpectralSpecError(f"{key} must be a number, got {d[key]!r}")
-    kmax = d.get("kmax")
-    if isinstance(kmax, str):
-        if kmax == "auto":
-            kmax = None
-        else:
-            try:
-                kmax = int(kmax)
-            except ValueError:
-                raise SpectralSpecError(
-                    f"kmax must be an integer or \"auto\", got {kmax!r}") from None
+    kmax = given.get("kmax")
+    if kmax == "auto":
+        del given["kmax"]
+    elif isinstance(kmax, str):
+        try:
+            given["kmax"] = int(kmax)
+        except ValueError:
+            raise SpectralSpecError(
+                f"kmax must be an integer or \"auto\", got {kmax!r}") from None
     try:
-        return ScenarioConfig(
-            lambda_spec=str(d["lambda"]),
-            beta_spec=str(d.get("beta", "poly:1")),
-            N=_integer("N", d.get("N", 64)),
-            n=_integer("n", d.get("n")),
-            t0=float(d.get("t0", 0.0)),
-            t1=float(d.get("t1", 10.0)),
-            steps=_integer("steps", d.get("steps", 21)),
-            k_max=_integer("kmax", kmax),
-            jobs=_integer("jobs", d.get("jobs", 1)),
-        )
+        return ScenarioConfig(**{CONFIG_FIELDS[key]: _field_value(key, val)
+                                 for key, val in given.items()})
     except (TypeError, ValueError) as exc:
         raise SpectralSpecError(f"bad config value: {exc}") from exc
 
 
-def _integer(key: str, val) -> int | None:
-    """The config value `val` of `key` as an int, None staying None;
-    SpectralSpecError for a non-integral number."""
+def _field_value(key: str, val):
+    """The config value `val` of `key` as the type of the ScenarioConfig field
+    it sets: a spec as a str, else a number, and never a boolean."""
+    field_type = ScenarioConfig.__annotations__[CONFIG_FIELDS[key]]
+    if field_type == "str":
+        return str(val)
+    if isinstance(val, bool):
+        raise SpectralSpecError(f"{key} must be a number, got {val!r}")
+    if field_type == "float":
+        return float(val)
+    return _integer(key, val)
+
+
+def _integer(key: str, val) -> int:
+    """The config value `val` of `key` as an int; SpectralSpecError for a
+    non-integral number."""
     if isinstance(val, float) and not val.is_integer():
         raise SpectralSpecError(f"{key} must be an integer, got {val!r}")
-    return None if val is None else int(val)
+    return int(val)
 
 
 def compute_row(lam: TrigPolynomial, beta: TrigPolynomial, N: int, n: int,
@@ -261,9 +267,7 @@ def dump_state_json(config: ScenarioConfig, path: str) -> None:
     """Serialize the evolved state at the final time to JSON."""
     lam, beta = config.symbols()
     state = evolve(EvolutionSetup(lam, beta, config.N), config.t1)
-    with open(path, "w") as fh:
-        json.dump(state.to_json_dict(), fh)
-        fh.write("\n")
+    write_text(json.dumps(state.to_json_dict()) + "\n", path)
 
 
 # ---------------------------------------------------------------------------
@@ -293,33 +297,30 @@ def run_figure1(out_dir: str, jobs: int = 1) -> dict:
         units.extend((lam, beta, float(t)) for t in t_grid)
         units.extend((lam, beta, float(t)) for t in t_short)
     flat = _map_rows(szego.szego_sum_for, units, jobs)
+    curves = np.array(flat).reshape(len(FIGURE1_GAPS), -1)
+    grid_values = curves[:, :len(t_grid)]
+    short_values = curves[:, len(t_grid):]
 
     os.makedirs(out_dir, exist_ok=True)
-    per_curve = len(t_grid) + len(t_short)
-    summary = {"curves": {}, "ordering_ok": True}
-    finals = {}
-    for i, c in enumerate(FIGURE1_GAPS):
-        chunk = flat[i * per_curve: (i + 1) * per_curve]
-        values = np.array(chunk[: len(t_grid)])
-        short_values = np.array(chunk[len(t_grid):])
+    summary = {"curves": {}}
+    for c, values, short in zip(FIGURE1_GAPS, grid_values, short_values):
         path = os.path.join(out_dir, f"figure1_c{c}.csv")
         write_text(_csv_text("t,szego_sum", zip(t_grid, values)), path)
         line = szego.fit_linear(t_grid, values, FIGURE1_FIT_WINDOW)
-        quad = szego.fit_quadratic_short_time(t_short, short_values, FIGURE1_SHORT_T_MAX)
-        finals[c] = float(values[-1])
+        quad = szego.fit_quadratic_short_time(t_short, short, FIGURE1_SHORT_T_MAX)
         summary["curves"][f"c={c}"] = {
             "slope": line.slope, "intercept": line.intercept,
             "r_squared": line.r_squared, "window": list(line.window),
             "kappa1": quad.kappa1, "kappa2": quad.kappa2,
             "short_time_exponent": quad.exponent,
-            "final_value": finals[c], "csv": os.path.basename(path),
+            "final_value": float(values[-1]), "csv": os.path.basename(path),
         }
-    ordered = finals[0.5] > finals[1.0] > finals[1.5]
-    summary["ordering_ok"] = bool(ordered)
+    # the largest final value for the smallest gap parameter, and so on down
+    finals = grid_values[:, -1]
+    summary["ordering_ok"] = bool(np.all(finals[:-1] > finals[1:]))
     summary["runtime_seconds"] = round(_time.monotonic() - started, 3)
-    with open(os.path.join(out_dir, "fits.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
+               os.path.join(out_dir, "fits.json"))
     return summary
 
 

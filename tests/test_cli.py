@@ -4,6 +4,7 @@ Most tests drive the real console entry point in a subprocess; the fault
 injection ones run in-process so a single operation can be monkeypatched.
 """
 
+import argparse
 import dataclasses
 import json
 import math
@@ -448,6 +449,51 @@ def test_config_rejects_boolean_values(key):
     for val in (True, False):
         with pytest.raises(quench_entropy.SpectralSpecError, match=f"{key} must be a number"):
             pipeline.config_from_dict({"lambda": LAM15, key: val})
+
+
+def test_config_keys_match_flag_dests_and_fields():
+    # one key per flag that feeds a config, and one per ScenarioConfig field
+    parser = argparse.ArgumentParser()
+    cli._add_scenario_flags(parser)
+    dests = {a.dest for a in parser._actions} - {"help", "config", "out", "dump_state"}
+    fields = [f.name for f in dataclasses.fields(pipeline.ScenarioConfig) if f.init]
+    assert set(pipeline.CONFIG_FIELDS) == dests
+    assert sorted(pipeline.CONFIG_FIELDS.values()) == sorted(fields)
+
+
+@pytest.mark.parametrize("key", sorted(set(pipeline.CONFIG_FIELDS) - {"lambda"}))
+def test_config_null_means_default(key, tmp_path):
+    default = pipeline.config_from_dict({"lambda": LAM15})
+    assert pipeline.config_from_dict({"lambda": LAM15, key: None}) == default
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"lambda": LAM15, key: None}))
+    assert pipeline.config_from_json(str(path)) == default
+    # an unset flag (None) keeps the file's value
+    path.write_text(json.dumps({"lambda": LAM15, "N": 16, "steps": 3}))
+    config = pipeline.config_from_json(str(path), {key: None})
+    assert (config.N, config.steps) == (16, 3)
+
+
+def test_config_null_lambda_exits_two(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"lambda": None, "N": 16}))
+    assert cli.main(["evolve", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: config needs a lambda spectral spec\n"
+
+
+@pytest.mark.parametrize("error", [*quench_entropy.QuenchEntropyError.__subclasses__(),
+                                   ValueError, OSError], ids=lambda e: e.__name__)
+def test_library_error_exit_code(error, monkeypatch, capsys):
+    def fail(config):
+        raise error("injected failure")
+
+    monkeypatch.setattr(pipeline, "run_series", fail)
+    rc = cli.main(["evolve", "--lambda", LAM15])
+    usage = (quench_entropy.SpectralSpecError, ValueError, OSError)
+    assert rc == (2 if error in usage else 3)
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: injected failure\n"
 
 
 def test_config_file_with_boolean_kmax_exits_two(tmp_path, capsys):
