@@ -121,8 +121,9 @@ def _cmd_sweep(args) -> int:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise SpectralSpecError(f"bad sweep value in {args.values!r}") from exc
-    if getattr(args, "lambda") is None and args.config is None and args.param == "c":
-        setattr(args, "lambda", "gap:c=1.5")  # placeholder; every row replaces it
+    if args.param == "c" and values:
+        # every row replaces the base's coupling; the first swept value stands in
+        setattr(args, "lambda", f"gap:c={values[0]}")
     config = _scenario_from_args(args)
     pipeline.write_text(pipeline.run_sweep(config, args.param, values), args.out)
     return EXIT_OK

@@ -73,26 +73,36 @@ def mode_symbol(lam_val, beta_val, t):
     """
     lam = np.asarray(lam_val, dtype=float)
     beta = np.asarray(beta_val, dtype=float)
-    root = np.sqrt(lam)
-    c = np.cos(t * root)
-    ts = t * np.sinc(t * root / np.pi)
+    c, ts = _phase(lam, t)
     out = (beta * c + 1j * lam * ts) / (c + 1j * beta * ts)
     return complex(out) if out.ndim == 0 else out
 
 
+def _phase(lam, t):
+    """c = cos(t sqrt(lam)) and tS = t sinc(t sqrt(lam) / pi) of the closed form."""
+    root = np.sqrt(lam)
+    return np.cos(t * root), t * np.sinc(t * root / np.pi)
+
+
+def _symbol_samples(lam: TrigPolynomial, beta: TrigPolynomial, theta):
+    """(lambda, beta) at the angles theta, as float arrays.
+
+    lambda is clamped at 0: the symbols are certified non-negative upstream,
+    so the clamp only removes rounding dust at a touch point.
+    """
+    lv = np.asarray(evaluate(lam, theta), dtype=float)
+    return np.maximum(lv, 0.0, out=lv), np.asarray(evaluate(beta, theta), dtype=float)
+
+
 def lambda_of_t(lam: TrigPolynomial, beta: TrigPolynomial, theta, t):
-    """Evolved width spectrum beta / (c^2 + (beta tS)^2), c and tS as in `mode_symbol`.
+    """Evolved width spectrum beta / (c^2 + (beta tS)^2), c and tS as in `mode_symbol`,
+    from the symbols sampled at theta with lambda clamped at 0.
 
     Strictly positive whenever beta > 0, including at critical points of the
     coupling, where it degrades to beta / (1 + (t beta)^2).
     """
-    th = np.asarray(theta, dtype=float)
-    lv = np.asarray(evaluate(lam, th), dtype=float)
-    bv = np.asarray(evaluate(beta, th), dtype=float)
-    # symbols certified non-negative upstream; clamp rounding dust at a touch point
-    root = np.sqrt(np.maximum(lv, 0.0))
-    c = np.cos(t * root)
-    ts = t * np.sinc(t * root / np.pi)
+    lv, bv = _symbol_samples(lam, beta, theta)
+    c, ts = _phase(lv, t)
     out = bv / (c * c + (bv * ts) ** 2)
     return float(out) if out.ndim == 0 else out
 
@@ -100,20 +110,18 @@ def lambda_of_t(lam: TrigPolynomial, beta: TrigPolynomial, theta, t):
 def short_time_lambda(lam: TrigPolynomial, beta: TrigPolynomial, theta, t):
     """Quadratic short-time approximant beta [1 - (beta^2 - lam) t^2].
 
-    Good to O(t^4); the caller keeps |t| small, there is no hard cutoff.
+    Reads the same samples as `lambda_of_t`, lambda clamped at 0, so the two
+    differ only by the approximation. Good to O(t^4); the caller keeps |t|
+    small, there is no hard cutoff.
     """
-    th = np.asarray(theta, dtype=float)
-    lv = np.asarray(evaluate(lam, th), dtype=float)
-    bv = np.asarray(evaluate(beta, th), dtype=float)
+    lv, bv = _symbol_samples(lam, beta, theta)
     out = bv * (1.0 - (bv * bv - lv) * t * t)
     return float(out) if out.ndim == 0 else out
 
 
 def evolve(setup: EvolutionSetup, t: float) -> GaussianPureState:
     """Evolved state at time t via the closed form, exact per mode."""
-    th = setup.mode_angles()
-    lv = np.maximum(np.asarray(evaluate(setup.lambda_poly, th), dtype=float), 0.0)
-    bv = np.asarray(evaluate(setup.beta_poly, th), dtype=float)
+    lv, bv = _symbol_samples(setup.lambda_poly, setup.beta_poly, setup.mode_angles())
     syms = np.asarray(mode_symbol(lv, bv, t), dtype=complex)
     # enforce the exact j <-> N-j symmetry the real circulant structure implies
     syms[1:] = 0.5 * (syms[1:] + syms[1:][::-1])
@@ -135,9 +143,7 @@ def riccati_oracle(setup: EvolutionSetup, t_end, dt: float | None = None
     """
     single = np.ndim(t_end) == 0
     ends = np.atleast_1d(np.asarray(t_end, dtype=float))
-    th = setup.mode_angles()
-    lv = np.maximum(np.asarray(evaluate(setup.lambda_poly, th), dtype=float), 0.0)
-    a0 = np.asarray(evaluate(setup.beta_poly, th), dtype=complex)
+    lv, bv = _symbol_samples(setup.lambda_poly, setup.beta_poly, setup.mode_angles())
     if dt is None and ends.any():
         scale = extrema(setup.lambda_poly).maximum
         dt = 0.01 / np.sqrt(scale) if scale > 0 else 0.01
@@ -146,7 +152,7 @@ def riccati_oracle(setup: EvolutionSetup, t_end, dt: float | None = None
     order = np.argsort(-n_steps, kind="stable")
     counts = n_steps[order]
     h = np.array([t / n if n else 0.0 for t, n in zip(ends[order], counts)])[:, None]
-    a = np.tile(a0, (ends.size, 1))
+    a = np.tile(bv.astype(complex), (ends.size, 1))
 
     def rhs(y):
         return -1j * (y * y - lv)

@@ -328,22 +328,17 @@ def run_figure1(out_dir: str, jobs: int = 1) -> dict:
 # parameter sweeps
 # ---------------------------------------------------------------------------
 
-SWEEP_PARAMS = ("c", "N", "n", "t1")
+# each sweep parameter with the config key it sets; c sets lambda as gap:c=<value>
+SWEEP_PARAMS = {"c": "lambda", "N": "N", "n": "n", "t1": "t1"}
 
 
 def _sweep_config(base: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
-    """base with one parameter swept, validated afresh."""
+    """base with one parameter swept, converted like a config value and
+    validated afresh."""
+    key = SWEEP_PARAMS[param]
     if param == "c":
-        change = {"lambda_spec": f"gap:c={value}"}
-    elif param in ("N", "n"):
-        if not float(value).is_integer():
-            raise SpectralSpecError(f"sweep value {value!r} for {param} is not an integer")
-        change = {param: int(value)}
-    elif param == "t1":
-        change = {"t1": float(value)}
-    else:
-        raise ValueError(f"unknown sweep parameter {param!r}")
-    return dataclasses.replace(base, **change)
+        value = f"gap:c={value}"
+    return dataclasses.replace(base, **{CONFIG_FIELDS[key]: _field_value(key, value)})
 
 
 def run_sweep(base: ScenarioConfig, param: str, values) -> str:
@@ -354,7 +349,7 @@ def run_sweep(base: ScenarioConfig, param: str, values) -> str:
     once.
     """
     if param not in SWEEP_PARAMS:
-        raise ValueError(f"sweep parameter must be one of {SWEEP_PARAMS}, got {param!r}")
+        raise ValueError(f"sweep parameter must be one of {tuple(SWEEP_PARAMS)}, got {param!r}")
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")

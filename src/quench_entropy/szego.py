@@ -22,9 +22,8 @@ import dataclasses
 import numpy as np
 
 from .errors import CriticalSymbolError, QuadratureError, TailCriterionError
-from .evolution import lambda_of_t
-from .spectral import (TrigPolynomial, _refine_minimum, evaluate, group_velocity_bound,
-                       is_critical)
+from .evolution import _symbol_samples, lambda_of_t
+from .spectral import TrigPolynomial, _refine_minimum, group_velocity_bound, is_critical
 
 _QUAD_START = 8192
 _QUAD_CAP = 2 ** 23
@@ -258,8 +257,7 @@ def mu_sigma(lam: TrigPolynomial, beta: TrigPolynomial, t: float, k_max: int):
     _require_gapped(lam, "the static/traveling coefficient split")
 
     def sample_sigma(grid):
-        theta = _half_period(grid)
-        lv, bv = evaluate(lam, theta), evaluate(beta, theta)
+        lv, bv = _symbol_samples(lam, beta, _half_period(grid))
         return (lv + bv * bv) / (bv * lv)
 
     sigma = 0.5 * _stabilized_cosine_coeffs(sample_sigma, k_max)
@@ -270,8 +268,7 @@ def _mu_coeffs(lam: TrigPolynomial, beta: TrigPolynomial, t: float, k_max: int) 
     """The traveling coefficients mu_k(t) of `mu_sigma`, for a gapped coupling."""
 
     def sample_mu(grid):
-        theta = _half_period(grid)
-        lv, bv = evaluate(lam, theta), evaluate(beta, theta)
+        lv, bv = _symbol_samples(lam, beta, _half_period(grid))
         return (lv - bv * bv) * np.cos(2.0 * t * np.sqrt(lv)) / (bv * lv)
 
     return 0.5 * _stabilized_cosine_coeffs(sample_mu, k_max)

@@ -21,30 +21,25 @@ from .errors import CriticalSymbolError
 _SEED = 20260817
 
 
+def _random_symbol(rng: np.random.Generator, max_degree: int, top: float, spread: float):
+    """Random cosine series of degree <= max_degree: a_0 uniform in [0.5, top], the
+    others within spread * a_0 / degree of 0, redrawn until its minimum exceeds 0.05."""
+    while True:
+        degree = int(rng.integers(0, max_degree + 1))
+        coeffs = np.zeros(degree + 1)
+        coeffs[0] = rng.uniform(0.5, top)
+        if degree:
+            coeffs[1:] = rng.uniform(-spread, spread, degree) * coeffs[0] / degree
+        poly = spectral.TrigPolynomial(coeffs)
+        if spectral.extrema(poly).minimum > 0.05:
+            return poly
+
+
 def _random_gapped_instance(rng: np.random.Generator, sizes=(32, 64)):
     """Random degree <= 3 gapped coupling and strictly positive width spectrum."""
-    while True:
-        deg_l = int(rng.integers(0, 4))
-        coeffs = np.zeros(deg_l + 1)
-        coeffs[0] = rng.uniform(0.5, 3.0)
-        if deg_l:
-            coeffs[1:] = rng.uniform(-0.4, 0.4, deg_l) * coeffs[0] / deg_l
-        lam = spectral.TrigPolynomial(coeffs)
-        ext = spectral.extrema(lam)
-        if ext.minimum > 0.05:
-            break
-    while True:
-        deg_b = int(rng.integers(0, 3))
-        bco = np.zeros(deg_b + 1)
-        bco[0] = rng.uniform(0.5, 2.0)
-        if deg_b:
-            bco[1:] = rng.uniform(-0.3, 0.3, deg_b) * bco[0] / max(deg_b, 1)
-        beta = spectral.TrigPolynomial(bco)
-        if spectral.extrema(beta).minimum > 0.05:
-            break
-    N = int(rng.choice(sizes))
-    t = float(rng.uniform(0.0, 10.0))
-    return lam, beta, N, t
+    lam = _random_symbol(rng, 3, 3.0, 0.4)
+    beta = _random_symbol(rng, 2, 2.0, 0.3)
+    return lam, beta, int(rng.choice(sizes)), float(rng.uniform(0.0, 10.0))
 
 
 class _Family:
@@ -72,50 +67,62 @@ def _spectral_family(quick: bool) -> _Family:
     rng = np.random.default_rng(_SEED)
     trials = 5 if quick else 20
 
-    worst = 0.0
-    for _ in range(trials):
-        lam, _, N, _ = _random_gapped_instance(rng, sizes=(16, 32))
-        mat = spectral.build_circulant(lam, N)
-        ev_sorted = np.sort(mat.eigenvalues())
-        samples = np.sort(spectral.evaluate(lam, 2 * np.pi * np.arange(N) / N))
-        worst = max(worst, float(np.abs(ev_sorted - samples).max()))
-    fam.check("circulant_eigenvalues_match_symbol", worst < 1e-12, f"worst {worst:.3g}")
+    def circulant_eigenvalues():
+        worst = 0.0
+        for _ in range(trials):
+            lam, _, N, _ = _random_gapped_instance(rng, sizes=(16, 32))
+            mat = spectral.build_circulant(lam, N)
+            ev_sorted = np.sort(mat.eigenvalues())
+            samples = np.sort(spectral.evaluate(lam, 2 * np.pi * np.arange(N) / N))
+            worst = max(worst, float(np.abs(ev_sorted - samples).max()))
+        return worst < 1e-12, f"worst {worst:.3g}"
+    fam.run("circulant_eigenvalues_match_symbol", circulant_eigenvalues)
 
-    lam = spectral.gap_family(1.5)
-    dense = spectral.build_circulant(lam, 12).to_dense()
-    sym = float(np.abs(dense - dense.T).max())
-    fam.check("circulant_symmetric", sym == 0.0, f"max asymmetry {sym:.3g}")
+    def circulant_symmetric():
+        dense = spectral.build_circulant(spectral.gap_family(1.5), 12).to_dense()
+        sym = float(np.abs(dense - dense.T).max())
+        return sym == 0.0, f"max asymmetry {sym:.3g}"
+    fam.run("circulant_symmetric", circulant_symmetric)
 
-    worst_ratio = 0.0
-    theta = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
-    for _ in range(trials):
-        lam, _, _, _ = _random_gapped_instance(rng, sizes=(16,))
-        if lam.degree == 0:
-            continue
-        vals = spectral.evaluate(lam, theta)
-        deriv = np.gradient(vals, theta)
-        worst_ratio = max(worst_ratio, float(np.abs(deriv).max() / (lam.degree * np.abs(vals).max())))
-    fam.check("derivative_bound", worst_ratio <= 1.0 + 1e-6, f"worst ratio {worst_ratio:.6f}")
+    def derivative_bound():
+        worst_ratio = 0.0
+        theta = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
+        for _ in range(trials):
+            lam, _, _, _ = _random_gapped_instance(rng, sizes=(16,))
+            if lam.degree == 0:
+                continue
+            vals = spectral.evaluate(lam, theta)
+            deriv = np.gradient(vals, theta)
+            worst_ratio = max(worst_ratio,
+                              float(np.abs(deriv).max() / (lam.degree * np.abs(vals).max())))
+        return worst_ratio <= 1.0 + 1e-6, f"worst ratio {worst_ratio:.6f}"
+    fam.run("derivative_bound", derivative_bound)
 
-    lam = spectral.gap_family(1.5)
-    ext = spectral.extrema(lam)
-    # 10^6 angles of linspace(0, 2 pi, endpoint=False), bit for bit, in blocks
-    angles, block, step = 10 ** 6, 2 ** 17, 2 * np.pi / 10 ** 6
-    lo, hi = np.inf, -np.inf
-    for i in range(0, angles, block):
-        vals = spectral.evaluate(lam, np.arange(i, min(i + block, angles)) * step)
-        lo, hi = min(lo, vals.min()), max(hi, vals.max())
-    fam.check("extrema_vs_brute_force",
-              abs(ext.minimum - lo) < 1e-8 and abs(ext.maximum - hi) < 1e-8,
-              f"min {ext.minimum:.12g} max {ext.maximum:.12g}")
+    def extrema_vs_brute_force():
+        lam = spectral.gap_family(1.5)
+        ext = spectral.extrema(lam)
+        # 10^6 angles of linspace(0, 2 pi, endpoint=False), bit for bit, in blocks
+        angles, block, step = 10 ** 6, 2 ** 17, 2 * np.pi / 10 ** 6
+        lo, hi = np.inf, -np.inf
+        for i in range(0, angles, block):
+            vals = spectral.evaluate(lam, np.arange(i, min(i + block, angles)) * step)
+            lo, hi = min(lo, vals.min()), max(hi, vals.max())
+        return (abs(ext.minimum - lo) < 1e-8 and abs(ext.maximum - hi) < 1e-8,
+                f"min {ext.minimum:.12g} max {ext.maximum:.12g}")
+    fam.run("extrema_vs_brute_force", extrema_vs_brute_force)
 
-    try:
-        spectral.group_velocity_bound(spectral.gap_family(1.0))
-        fam.check("critical_rejected_by_velocity_bound", False, "no error raised")
-    except CriticalSymbolError:
-        fam.check("critical_rejected_by_velocity_bound", True, "")
-    v = spectral.group_velocity_bound(spectral.gap_family(1.5))
-    fam.check("velocity_bound_value", abs(v - 25.0) < 1e-9, f"v_g {v!r}")
+    def critical_rejected():
+        try:
+            spectral.group_velocity_bound(spectral.gap_family(1.0))
+        except CriticalSymbolError:
+            return True, ""
+        return False, "no error raised"
+    fam.run("critical_rejected_by_velocity_bound", critical_rejected)
+
+    def velocity_bound():
+        v = spectral.group_velocity_bound(spectral.gap_family(1.5))
+        return abs(v - 25.0) < 1e-9, f"v_g {v!r}"
+    fam.run("velocity_bound_value", velocity_bound)
     return fam
 
 
@@ -204,19 +211,16 @@ def _reduction_family(quick: bool) -> _Family:
             state = evolution.evolve(evolution.EvolutionSetup(lam, beta, N), t)
             dense = reduction.densify(state)
             n = N // 2
-            blocks = reduction.partition(dense, n)
-            red = reduction.reduce(blocks)
-            worst_resid = max(worst_resid, red.identity_residual)
-            p = reduction.purity(blocks)
-            exact = reduction.exact_entropy(dense, n)
-            nlp = -float(np.log(p))
-            det = reduction.det_bound(blocks)
-            worst_slack1 = min(worst_slack1, exact - nlp)
-            worst_slack2 = min(worst_slack2, nlp - det)
+            rec = reduction.entropy_record(dense, n, t)
+            exact = rec.exact_entropy
+            worst_resid = max(worst_resid, rec.identity_residual)
+            worst_slack1 = min(worst_slack1, exact - rec.neg_log_purity)
+            worst_slack2 = min(worst_slack2, rec.neg_log_purity - rec.det_bound)
             # purity against the symplectic spectrum of the smaller-side route the
             # pipeline uses
             sym_nlp = reduction.symbol_record(state, n).neg_log_purity
-            worst_dual = max(worst_dual, abs(p - float(np.exp(-sym_nlp))))
+            worst_dual = max(worst_dual, abs(float(np.exp(-rec.neg_log_purity))
+                                             - float(np.exp(-sym_nlp))))
             # cyclic shift of the cut must not change the entropy
             shift = int(rng.integers(1, N))
             perm = np.roll(np.arange(N), shift)

@@ -18,7 +18,7 @@ import pytest
 from quench_entropy import (ConsistencyError, EvolutionSetup, TrigPolynomial,
                             evolve, gap_family)
 import quench_entropy
-from quench_entropy import cli, pipeline, reduction, spectral
+from quench_entropy import cli, pipeline, reduction, spectral, szego
 from quench_entropy.evolution import GaussianPureState
 from quench_entropy.pipeline import CSV_HEADER
 from quench_entropy.szego import szego_sum_for
@@ -425,12 +425,26 @@ def test_sweep_keeps_config_errors():
 
 @pytest.mark.parametrize("param, value", [("N", "32.7"), ("n", "8.5"), ("N", "inf")])
 def test_sweep_rejects_non_integral_size(param, value, capsys):
-    # a size would otherwise be truncated while param_value keeps the fraction
+    # a size would otherwise be truncated while param_value keeps the fraction;
+    # a swept value is converted like a config value, with its message
     rc = cli.main(["sweep", "--param", param, "--values", f"16,{value}",
                    "--lambda", LAM15, "-N", "32", "--steps", "2"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"sweep value {value} for {param} is not an integer" in err
+    assert f"{param} must be an integer, got {value}" in err
+
+
+@pytest.mark.parametrize("config", [{}, {"lambda": "poly:5"}])
+def test_sweep_gap_parameter_from_config(config, tmp_path, capsys):
+    # --param c needs no base coupling: from a config with or without a
+    # lambda, the sweep is the one run from flags
+    argv = ["sweep", "--param", "c", "--values", "1.2,2", "--steps", "2", "--t1", "1.0"]
+    assert cli.main([*argv, "-N", "16"]) == 0
+    from_flags = capsys.readouterr().out
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config, "N": 16}))
+    assert cli.main([*argv, "--config", str(path)]) == 0
+    assert capsys.readouterr().out == from_flags
 
 
 @pytest.mark.parametrize("key", ["N", "n", "steps", "jobs", "kmax"])
@@ -597,6 +611,62 @@ def test_fault_injection_fails_purity_vs_symplectic(monkeypatch):
     monkeypatch.setattr(reduction, "symbol_record", corrupted)
     checks = _reduction_family(True).report()["checks"]
     assert [c["name"] for c in checks if not c["passed"]] == ["purity_vs_symplectic"]
+
+
+def test_fault_injection_fails_spectral_checks(monkeypatch, tmp_path, capsys):
+    # a raising operation fails the spectral checks that call it, as in every
+    # family; the other checks still run and the report is written
+    def names(report):
+        return [f"{fam}.{c['name']}" for fam, r in sorted(report["families"].items())
+                for c in r["checks"]]
+
+    clean = quench_entropy.run_verification("quick")
+
+    def broken(lam, N):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(spectral, "build_circulant", broken)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--level", "quick", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert names(report) == names(clean)
+    failed = [c for c in report["families"]["spectral"]["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["circulant_eigenvalues_match_symbol",
+                                           "circulant_symmetric"]
+    assert all(c["detail"] == "ValueError: injected fault" for c in failed)
+    assert all(r["passed"] for fam, r in report["families"].items() if fam != "spectral")
+    assert "FAILED spectral.circulant_symmetric: ValueError: injected fault" in capsys.readouterr().err
+
+
+def test_compute_row_refuses_a_broken_entropy_chain(monkeypatch, capsys):
+    # a det bound above -ln purity is refused, not written
+    real = reduction.symbol_record
+
+    def bumped(state, n):
+        rec = real(state, n)
+        return dataclasses.replace(rec, det_bound=rec.neg_log_purity + 1e-6)
+
+    monkeypatch.setattr(reduction, "symbol_record", bumped)
+    with pytest.raises(ConsistencyError, match="entropy bound chain violated"):
+        pipeline.compute_row(gap_family(1.5), TrigPolynomial([1.05, 0.05]), 16, 8, 2.0, None)
+    rc = cli.main(["evolve", "--lambda", LAM15, "-N", "16", "--steps", "2", "--t1", "2.0"])
+    assert rc == 3
+    assert "entropy bound chain violated" in capsys.readouterr().err
+
+
+def test_compute_row_refuses_bk_above_szego(monkeypatch, capsys):
+    # a momentum-coefficient bound above the Szego sum is refused for a gapped
+    # coupling; a critical one has no momentum bound to hold against it
+    real_sum = szego.szego_sum_for
+    monkeypatch.setattr(szego, "bk_bound",
+                        lambda lam, beta, t, k_max=None: real_sum(lam, beta, t, k_max) + 1e-6)
+    beta = TrigPolynomial([1.05, 0.05])
+    with pytest.raises(ConsistencyError, match="momentum-coefficient bound .* exceeds"):
+        pipeline.compute_row(gap_family(1.5), beta, 16, 8, 2.0, None)
+    assert math.isnan(pipeline.compute_row(gap_family(1.0), beta, 16, 8, 2.0, None).bk_bound)
+    rc = cli.main(["evolve", "--lambda", LAM15, "-N", "16", "--steps", "2", "--t1", "2.0"])
+    assert rc == 3
+    assert "exceeds the log-spectrum bound" in capsys.readouterr().err
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

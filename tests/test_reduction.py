@@ -773,6 +773,32 @@ def test_window_route_declines_edge_cuts_and_wide_cones(monkeypatch):
     assert calls == [(256, 256), (256, 256)] and rec == full
 
 
+def test_window_route_falls_back_when_a_window_covariance_is_not_positive(monkeypatch):
+    # a window covariance that Cholesky rejects makes the window helper
+    # decline, and the row is the whole side's record bit for bit
+    state = evolve(EvolutionSetup(LAM15, TrigPolynomial([1.05, 0.05]), 512), 2.0)
+    real_covariances = reduction._covariances
+    windows = []
+
+    def indefinite(rows, size, w=None):
+        covs = real_covariances(rows, size, w)
+        if w is None:
+            return covs
+        windows.append((size, w))
+        return [-V for V in covs]
+
+    rec, full, calls = _window_and_full(state, 256, monkeypatch)
+    assert calls == []  # unpatched, the row takes the window route
+    monkeypatch.setattr(reduction, "_covariances", indefinite)
+    rows = reduction._circulant_rows(np.asarray(state.mode_symbols, dtype=complex))
+    assert reduction._window_spectrum(rows, 256) is None
+    windows.clear()
+    rec, full, calls = _window_and_full(state, 256, monkeypatch)
+    assert windows == [(256, reduction._window_width(rows))]
+    assert calls == [(256, 256), (256, 256)]  # the fallback
+    assert rec == full
+
+
 # ---------------------------------------------------------------------------
 # Williamson spectrum: one SVD, against the eigvalsh and eigvals(Omega V) oracles
 # ---------------------------------------------------------------------------
