@@ -120,13 +120,17 @@ def densify(state: GaussianPureState) -> np.ndarray:
     """Dense complex symmetric circulant with the state's mode spectrum.
 
     The first row is the inverse DFT of the mode symbols. For an exactly
-    constant symbol vector the result is exactly diagonal (the FFT butterflies
-    cancel exactly), which the product-state shortcuts downstream rely on.
+    constant symbol vector and a power-of-two N the result is exactly diagonal
+    (the FFT butterflies cancel exactly), which the product-state shortcuts
+    downstream rely on; at other sizes, N = 17 say, the off-diagonal entries
+    are at rounding level instead.
     """
     syms = np.asarray(state.mode_symbols, dtype=complex)
     row = np.fft.ifft(syms)
     dense = CirculantMatrix(row, row.size).to_dense()
-    return 0.5 * (dense + dense.T)
+    dense += dense.T
+    dense *= 0.5
+    return dense
 
 
 def _check_condition(cond: float) -> None:

@@ -13,33 +13,39 @@ relevant family fail.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from . import evolution, reduction, spectral, szego
 from .errors import CriticalSymbolError
 
+# each family draws from its own random.Random(_SEED + i), the standard
+# library's Mersenne Twister; numpy's Generator would load six bit-generator
+# modules and, through secrets and hashlib, OpenSSL for about a thousand draws
 _SEED = 20260817
 
 
-def _random_symbol(rng: np.random.Generator, max_degree: int, top: float, spread: float):
+def _random_symbol(rng: random.Random, max_degree: int, top: float, spread: float):
     """Random cosine series of degree <= max_degree: a_0 uniform in [0.5, top], the
     others within spread * a_0 / degree of 0, redrawn until its minimum exceeds 0.05."""
     while True:
-        degree = int(rng.integers(0, max_degree + 1))
+        degree = rng.randrange(max_degree + 1)
         coeffs = np.zeros(degree + 1)
         coeffs[0] = rng.uniform(0.5, top)
         if degree:
-            coeffs[1:] = rng.uniform(-spread, spread, degree) * coeffs[0] / degree
+            coeffs[1:] = [rng.uniform(-spread, spread) * coeffs[0] / degree
+                          for _ in range(degree)]
         poly = spectral.TrigPolynomial(coeffs)
         if spectral.extrema(poly).minimum > 0.05:
             return poly
 
 
-def _random_gapped_instance(rng: np.random.Generator, sizes=(32, 64)):
+def _random_gapped_instance(rng: random.Random, sizes=(32, 64)):
     """Random degree <= 3 gapped coupling and strictly positive width spectrum."""
     lam = _random_symbol(rng, 3, 3.0, 0.4)
     beta = _random_symbol(rng, 2, 2.0, 0.3)
-    return lam, beta, int(rng.choice(sizes)), float(rng.uniform(0.0, 10.0))
+    return lam, beta, rng.choice(sizes), rng.uniform(0.0, 10.0)
 
 
 class _Family:
@@ -64,7 +70,7 @@ class _Family:
 
 def _spectral_family(quick: bool) -> _Family:
     fam = _Family("spectral")
-    rng = np.random.default_rng(_SEED)
+    rng = random.Random(_SEED)
     trials = 5 if quick else 20
 
     def circulant_eigenvalues():
@@ -101,8 +107,9 @@ def _spectral_family(quick: bool) -> _Family:
     def extrema_vs_brute_force():
         lam = spectral.gap_family(1.5)
         ext = spectral.extrema(lam)
-        # 10^6 angles of linspace(0, 2 pi, endpoint=False), bit for bit, in blocks
-        angles, block, step = 10 ** 6, 2 ** 17, 2 * np.pi / 10 ** 6
+        # 10^6 angles of linspace(0, 2 pi, endpoint=False), bit for bit, in
+        # evaluate's own blocks, so each call allocates one block's temporaries
+        angles, block, step = 10 ** 6, spectral._EVAL_BLOCK, 2 * np.pi / 10 ** 6
         lo, hi = np.inf, -np.inf
         for i in range(0, angles, block):
             vals = spectral.evaluate(lam, np.arange(i, min(i + block, angles)) * step)
@@ -128,7 +135,7 @@ def _spectral_family(quick: bool) -> _Family:
 
 def _evolution_family(quick: bool) -> _Family:
     fam = _Family("evolution")
-    rng = np.random.default_rng(_SEED + 1)
+    rng = random.Random(_SEED + 1)
     lam = spectral.gap_family(1.5)
     beta = spectral.TrigPolynomial([1.0])
 
@@ -148,7 +155,7 @@ def _evolution_family(quick: bool) -> _Family:
         worst = 0.0
         for _ in range(10 if quick else 40):
             lam_r, beta_r, _, t = _random_gapped_instance(rng)
-            th = float(rng.uniform(0, 2 * np.pi))
+            th = rng.uniform(0, 2 * np.pi)
             a = evolution.mode_symbol(spectral.evaluate(lam_r, th),
                                       spectral.evaluate(beta_r, th), t)
             L = evolution.lambda_of_t(lam_r, beta_r, th, t)
@@ -160,7 +167,7 @@ def _evolution_family(quick: bool) -> _Family:
         worst = 0.0
         for _ in range(5 if quick else 20):
             lam_r, beta_r, _, t = _random_gapped_instance(rng)
-            th = float(rng.uniform(0, 2 * np.pi))
+            th = rng.uniform(0, 2 * np.pi)
             lv = float(spectral.evaluate(lam_r, th))
             period = np.pi / np.sqrt(lv)
             d = abs(evolution.lambda_of_t(lam_r, beta_r, th, t + period)
@@ -197,7 +204,7 @@ def _evolution_family(quick: bool) -> _Family:
 
 def _reduction_family(quick: bool) -> _Family:
     fam = _Family("reduction")
-    rng = np.random.default_rng(_SEED + 2)
+    rng = random.Random(_SEED + 2)
     n_inst = 8 if quick else 40
     sizes = (16, 32) if quick else (32, 64)
 
@@ -222,7 +229,7 @@ def _reduction_family(quick: bool) -> _Family:
             worst_dual = max(worst_dual, abs(float(np.exp(-rec.neg_log_purity))
                                              - float(np.exp(-sym_nlp))))
             # cyclic shift of the cut must not change the entropy
-            shift = int(rng.integers(1, N))
+            shift = rng.randrange(1, N)
             perm = np.roll(np.arange(N), shift)
             worst_shift = max(worst_shift, abs(reduction.exact_entropy(dense[np.ix_(perm, perm)], n) - exact))
             # pure global state: complementary cuts match
@@ -253,7 +260,7 @@ def _reduction_family(quick: bool) -> _Family:
 
 def _szego_family(quick: bool) -> _Family:
     fam = _Family("szego")
-    rng = np.random.default_rng(_SEED + 3)
+    rng = random.Random(_SEED + 3)
     lam = spectral.gap_family(1.5)
     beta = spectral.TrigPolynomial([1.0])
 
@@ -291,7 +298,7 @@ def _szego_family(quick: bool) -> _Family:
         prof = szego.light_cone_profile(lam, beta, (1.0, 2.0, 4.0))
         ok = all(edge <= prof.velocity_bound * t
                  for edge, t in zip(prof.edges, prof.t_list))
-        return ok, f"edges {prof.edges.tolist()} vs v_g t {[25 * t for t in prof.t_list]}"
+        return ok, f"edges {prof.edges.tolist()} vs v_g t {(prof.velocity_bound * prof.t_list).tolist()}"
     fam.run("cone_edges_inside_bound", light_cone)
 
     def cone_doubling():

@@ -9,6 +9,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -22,7 +23,7 @@ from quench_entropy import cli, pipeline, reduction, spectral, szego
 from quench_entropy.evolution import GaussianPureState
 from quench_entropy.pipeline import CSV_HEADER
 from quench_entropy.szego import szego_sum_for
-from quench_entropy.verify import _reduction_family
+from quench_entropy.verify import _random_symbol, _reduction_family
 
 LAM15 = "gap:c=1.5"
 
@@ -327,6 +328,42 @@ def test_library_runs_without_scipy():
                           timeout=120, env=_CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_verify_loads_no_numpy_random_and_repeats():
+    # verify's seeded draws come from random.Random, so a run loads neither
+    # numpy's bit generators nor secrets/hashlib (OpenSSL), and two runs in
+    # one process report the same
+    code = (
+        "import sys\n"
+        "from quench_entropy import run_verification\n"
+        "first = run_verification('quick')\n"
+        "assert first['all_passed'] and run_verification('quick') == first\n"
+        "print(sorted(m for m in ('numpy.random', 'secrets', 'hashlib', '_hashlib')\n"
+        "             if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=_CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_random_symbol_contract():
+    # verify's random symbols: degree <= max_degree, a_0 in [0.5, top], every
+    # other coefficient within spread * a_0 / degree, minimum above 0.05; each
+    # degree up to max_degree is drawn
+    for max_degree, top, spread in ((3, 3.0, 0.4), (2, 2.0, 0.3)):
+        rng = random.Random(max_degree)
+        degrees = set()
+        for _ in range(300):
+            poly = _random_symbol(rng, max_degree, top, spread)
+            a = poly.coeffs
+            degrees.add(poly.degree)
+            assert poly.degree <= max_degree
+            assert 0.5 <= a[0] <= top
+            if poly.degree:
+                assert np.all(np.abs(a[1:]) <= spread * a[0] / poly.degree)
+            assert spectral.extrema(poly).minimum > 0.05
+        assert degrees == set(range(max_degree + 1))
 
 
 def test_verify_suites_load_only_for_verify():

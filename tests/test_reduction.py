@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quench_entropy import (ConsistencyError, EvolutionSetup,
+from quench_entropy import (CirculantMatrix, ConsistencyError, EvolutionSetup,
                             GaussianPureState, IllConditionedError, QuenchEntropyError,
                             SymbolRecord, TrigPolynomial, densify, det_bound,
                             entropy_record, evolve, exact_entropy, gap_family,
@@ -110,6 +110,30 @@ def test_densify_matches_scipy_circulant():
     row = np.fft.ifft(np.asarray(state.mode_symbols, dtype=complex))
     ref = linalg.circulant(row).T
     assert np.array_equal(densify(state), 0.5 * (ref + ref.T))
+
+
+@pytest.mark.parametrize("N", [16, 17, 64])
+def test_densify_in_place_symmetrisation_is_bit_identical(N):
+    # densify halves dense + dense.T in place; the result must equal the
+    # out-of-place 0.5 * (d + d.T) bit for bit and be exactly symmetric
+    def out_of_place(symbols):
+        d = CirculantMatrix(np.fft.ifft(symbols), N).to_dense()
+        return 0.5 * (d + d.T)
+
+    state = evolve(EvolutionSetup(LAM15, TrigPolynomial([1.05, 0.05, -0.02]), N), 3.3)
+    dense = densify(state)
+    assert np.array_equal(dense, out_of_place(np.asarray(state.mode_symbols, dtype=complex)))
+    assert np.array_equal(dense, dense.T)
+    symbols = np.full(N, 2.0 - 0.5j)
+    constant = densify(GaussianPureState(mode_symbols=symbols, size=N, time=0.0))
+    assert np.array_equal(constant, out_of_place(symbols))
+    off = constant - np.diag(np.diag(constant))
+    if N & (N - 1) == 0:
+        # a power-of-two FFT cancels exactly: the matrix is exactly diagonal
+        assert np.abs(off).max() == 0.0
+    else:
+        # at N = 17 the FFT leaves rounding-level off-diagonal entries
+        assert 0.0 < np.abs(off).max() < 1e-15
 
 
 def test_toeplitz_matches_scipy():
