@@ -29,9 +29,6 @@ from .spectral import (TrigPolynomial, is_critical, parse_spectral_spec,
 
 CSV_HEADER = "t,exact_entropy,neg_log_purity,det_bound,szego_sum,bk_bound"
 DENSE_CUT_LIMIT = 512
-_CHAIN_TOL = 1e-8
-_BK_CHAIN_TOL = 1e-9
-_RESIDUAL_TOL = 1e-9
 
 FIGURE1_GAPS = (0.5, 1.0, 1.5)
 FIGURE1_T_POINTS = 101
@@ -189,18 +186,18 @@ def compute_row(lam: TrigPolynomial, beta: TrigPolynomial, N: int, n: int,
 
     if min(n, N - n) <= DENSE_CUT_LIMIT:
         rec = reduction.symbol_record(evolve(EvolutionSetup(lam, beta, N), t), n)
-        if rec.identity_residual > _RESIDUAL_TOL:
+        if rec.identity_residual > reduction._RESIDUAL_TOL:
             raise ConsistencyError(
                 f"block-row identity residual {rec.identity_residual:.3g} at t={t}")
         exact, nlp, det = rec.exact_entropy, rec.neg_log_purity, rec.det_bound
-        if exact < nlp - _CHAIN_TOL or nlp < det - _CHAIN_TOL:
+        if exact < nlp - reduction._CHAIN_TOL or nlp < det - reduction._CHAIN_TOL:
             raise ConsistencyError(
                 f"entropy bound chain violated at t={t}: "
                 f"exact={exact!r}, -ln purity={nlp!r}, det bound={det!r}")
     else:
         exact = nlp = det = float("nan")
 
-    if gapped and bk_val > szego_val + _BK_CHAIN_TOL:
+    if gapped and bk_val > szego_val + szego._BK_CHAIN_TOL:
         raise ConsistencyError(
             f"momentum-coefficient bound {bk_val!r} exceeds the log-spectrum bound "
             f"{szego_val!r} at t={t}")

@@ -14,9 +14,11 @@ spectrum is read from singular values: of K = L^T Omega L for a covariance
 with Cholesky factor L (`_williamson`), or of the light-cone windows' cross
 covariance (`_window_spectrum`).
 
-A coupling block that is exactly zero short-circuits to the analytic
-product-state answers (purity 1, every bound 0). That is an identity, not an
-approximation, and it keeps genuinely uncoupled configurations exactly clean.
+A product state short-circuits to the analytic answers (purity 1, every
+bound 0). That is an identity, not an approximation, and it keeps genuinely
+uncoupled configurations exactly clean. The dense functions recognise it by an
+exactly zero coupling block of the matrix they are given, `symbol_record` by
+equal mode symbols, at every N.
 
 `entropy_record` gathers the three columns of the dense route into a
 `SymbolRecord`. `symbol_record` returns the same record without any N x N
@@ -66,6 +68,10 @@ _PURITY_AGREE_TOL = 1e-9
 _SQRT_HALF = np.sqrt(0.5)
 _LN2 = float(np.log(2.0))
 _EPS = float(np.finfo(float).eps)
+# a row's bound chain exact >= -ln purity >= det bound holds to this slack, and
+# its block-row identity residual stays below _RESIDUAL_TOL
+_CHAIN_TOL = 1e-8
+_RESIDUAL_TOL = 1e-9
 # a correlation row's entries below this many eps |r|_2 are its FFT's rounding
 # (measured rounding tails reach about 4 eps |r|_2)
 _FLOOR_FACTOR = 16.0
@@ -121,9 +127,9 @@ def densify(state: GaussianPureState) -> np.ndarray:
 
     The first row is the inverse DFT of the mode symbols. For an exactly
     constant symbol vector and a power-of-two N the result is exactly diagonal
-    (the FFT butterflies cancel exactly), which the product-state shortcuts
-    downstream rely on; at other sizes, N = 17 say, the off-diagonal entries
-    are at rounding level instead.
+    (the FFT butterflies cancel exactly), so the dense functions' zero-coupling
+    shortcuts fire; at other sizes, N = 17 say, the off-diagonal entries are
+    at rounding level instead.
     """
     syms = np.asarray(state.mode_symbols, dtype=complex)
     row = np.fft.ifft(syms)
@@ -131,6 +137,11 @@ def densify(state: GaussianPureState) -> np.ndarray:
     dense += dense.T
     dense *= 0.5
     return dense
+
+
+def _check_cut(n: int, N: int) -> None:
+    if not (0 < n < N):
+        raise ValueError(f"cut size n={n} must satisfy 0 < n < N={N}")
 
 
 def _check_condition(cond: float) -> None:
@@ -174,8 +185,7 @@ def partition(A: np.ndarray, n: int) -> BlockPartition:
     N = A.shape[0]
     if A.ndim != 2 or A.shape[1] != N:
         raise ValueError("partition needs a square matrix")
-    if not (0 < n < N):
-        raise ValueError(f"cut size n={n} must satisfy 0 < n < N={N}")
+    _check_cut(n, N)
     cond = float(np.linalg.norm(A, 1) * np.linalg.norm(np.linalg.inv(A), 1))
     _check_condition(cond)
     # positivity of the real-part blocks is what every downstream formula needs
@@ -283,18 +293,19 @@ def exact_entropy(A: np.ndarray, n: int) -> float:
     Cholesky (ConsistencyError)."""
     A = np.asarray(A)
     N = A.shape[0]
-    if not (0 < n < N):
-        raise ValueError(f"cut size n={n} must satisfy 0 < n < N={N}")
+    _check_cut(n, N)
     cov = _kept_covariance(A, n)
     if not A[:n, n:].any():
         return 0.0
     nu = _williamson(_cholesky(cov, "reduced covariance is not positive definite"))
     _check_nu_min(nu)
-    return _entropy_sum(np.maximum(nu, 0.5))
+    return _entropy_sum(nu)
 
 
 def _entropy_sum(nu: np.ndarray) -> float:
-    """sum (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2), with 0 ln 0 = 0."""
+    """sum (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2), with 0 ln 0 = 0,
+    over nu clamped to nu >= 1/2."""
+    nu = np.maximum(nu, 0.5)
     plus = nu + 0.5
     minus = nu - 0.5
     ent = plus * np.log(plus) - np.where(minus > 0.0, minus * np.log(np.where(minus > 0.0, minus, 1.0)), 0.0)
@@ -460,8 +471,8 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
     from V's Cholesky factor (_PURITY_AGREE_TOL) and nu_min >= 1/2. The
     block-row residual |(Re A (Re A)^{-1} - I)[:k, :k]|_F, from one circular
     convolution of the two rows, checks the symbol 1/Lambda against Re A and
-    is returned for the caller to judge. An exactly zero coupling block gives
-    exactly zero columns, as on the dense route. The sectors of R~_k and of V
+    is returned for the caller to judge. Equal mode symbols, a product state,
+    give exactly zero columns at every N. The sectors of R~_k and of V
     are read from the rows (`_sectors`, `_covariances`; module docstring),
     and every factorisation and the Williamson spectrum are taken per sector
     and combined.
@@ -475,8 +486,7 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
     """
     a = np.asarray(state.mode_symbols, dtype=complex)
     N = a.shape[0]
-    if not (0 < n < N):
-        raise ValueError(f"cut size n={n} must satisfy 0 < n < N={N}")
+    _check_cut(n, N)
     rows = _circulant_rows(a)
     s = rows["A"]
     cond = float(np.abs(s).sum() * np.abs(rows["inv"]).sum())
@@ -485,7 +495,7 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
         raise ConsistencyError("real part of the mode symbols is not positive")
 
     t = float(state.time)
-    if not s[1:].any():
+    if (rows["symbols"] == rows["symbols"][0]).all():
         return SymbolRecord(t=t, exact_entropy=0.0, neg_log_purity=0.0, det_bound=0.0,
                             identity_residual=0.0, condition_estimate=cond, n=n, N=N)
 
@@ -520,7 +530,7 @@ def symbol_record(state: GaussianPureState, n: int) -> SymbolRecord:
         _check_spectrum(nu, k, ld_v)
     log_2nu = np.log(2.0 * nu)
     return SymbolRecord(
-        t=t, exact_entropy=_entropy_sum(np.maximum(nu, 0.5)),
+        t=t, exact_entropy=_entropy_sum(nu),
         neg_log_purity=float(np.sum(np.maximum(log_2nu, 0.0))),
         det_bound=0.5 * (k * _LN2 + ld_xx + ld_r),
         identity_residual=residual, condition_estimate=cond, n=n, N=N)

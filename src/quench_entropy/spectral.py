@@ -260,7 +260,7 @@ def is_critical(f: TrigPolynomial) -> bool:
 
 def require_positive(f: TrigPolynomial, name: str = "symbol") -> None:
     ext = extrema(f)
-    if ext.minimum <= 0.0 or is_critical(f):
+    if is_critical(f):
         raise SpectralSpecError(
             f"{name} must be strictly positive; minimum {ext.minimum:g} "
             f"at theta={ext.argmin:g}")
@@ -283,7 +283,7 @@ def group_velocity_bound(lam: TrigPolynomial) -> float:
     if lam.degree == 0:
         return 0.0
     ext = extrema(lam)
-    if is_critical(lam) or ext.minimum <= 0.0:
+    if is_critical(lam):
         raise CriticalSymbolError(
             "group-velocity bound undefined for critical coupling (min lambda = 0)")
     return float(lam.degree * ext.maximum / np.sqrt(ext.minimum))

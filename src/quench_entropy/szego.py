@@ -31,6 +31,8 @@ _COEFF_STABLE_TOL = 1e-9
 _TAIL_REL = 1e-12
 _TAIL_ABS = 1e-24
 _CONE_THRESHOLD = 1e-6
+# a gapped row's bk_bound may exceed its szego_sum by at most this much
+_BK_CHAIN_TOL = 1e-9
 # the spectrum maximum scans the half period of the first quadrature pass
 _MAXIMUM_GRID = 2 * _QUAD_START
 # rows of the Parseval double sum reduced at once
@@ -64,12 +66,9 @@ def _cosine_coeffs_once(samples, k_max: int, grid: int):
     """One quadrature pass over an even function sampled at 2 pi j / grid, j = 0..grid/2:
     its k_max+1 real Fourier coefficients (1/2pi convention), and the largest aliased one
     |c_{grid/2 - k}|, k <= k_max, which by c^G_k = c^2G_k + c^2G_{G-k} is how far they
-    move from the grid half as fine."""
+    move from the grid half as fine. On a power-of-two grid constant samples
+    transform to c_0 and exact zeros."""
     vals = np.asarray(samples, dtype=float)
-    if np.ptp(vals) == 0.0:
-        out = np.zeros(k_max + 1)
-        out[0] = vals[0]
-        return out, 0.0
     spec = np.fft.rfft(np.concatenate((vals, vals[-2:0:-1])))
     alias = float(np.abs(spec[grid // 2 - k_max:].real).max()) / grid
     return (spec[: k_max + 1] / grid).real, alias
@@ -87,7 +86,7 @@ def _evolved_samples(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
                      grid: int) -> np.ndarray:
     """Lambda(theta, t) from `lambda_of_t` on the `grid`-point half period.
 
-    The last call's samples are kept, so c_k, b_k and the `spectrum_maximum`
+    The cache holds the last sampling, so c_k, b_k and the `spectrum_maximum`
     scan at one time share one sampling of each grid.
     """
     global _evolved
@@ -109,9 +108,8 @@ def _stabilized_cosine_coeffs(samples_at, k_max: int | None) -> np.ndarray:
     k_max + 1. An explicit truncation is thus a prefix of the default pass
     whenever that pass holds k_max + 1 coefficients. Samples that are not
     finite, or a grid that does not stabilize below _QUAD_CAP, raise
-    QuadratureError and drop the cached Lambda samples.
+    QuadratureError.
     """
-    global _evolved
     if k_max is not None and not 0 <= k_max <= _QUAD_CAP // 2:
         raise ValueError(f"k_max={k_max} must lie in 0..{_QUAD_CAP // 2}")
     grid = _QUAD_START
@@ -120,13 +118,11 @@ def _stabilized_cosine_coeffs(samples_at, k_max: int | None) -> np.ndarray:
     while grid <= _QUAD_CAP:
         samples = samples_at(2 * grid)
         if not np.isfinite(samples).all():
-            _evolved = None
             raise QuadratureError(f"quadrature samples on grid {2 * grid} are not finite")
         coeffs, alias = _cosine_coeffs_once(samples, grid // 2, 2 * grid)
         if alias <= _COEFF_STABLE_TOL:
             return coeffs if k_max is None else coeffs[: k_max + 1]
         grid *= 2
-    _evolved = None
     raise QuadratureError(
         f"coefficients did not stabilize to {_COEFF_STABLE_TOL:g} below grid {_QUAD_CAP}")
 
@@ -166,10 +162,8 @@ def _resolved_sum(coeffs: np.ndarray, lam: TrigPolynomial, k_max: int | None) ->
     they are. Without it they are every coefficient the stabilised grid
     resolves: a gapped coupling sums them all, and a critical one sums its
     first k + 1, k doubling from 256 while the tail criterion fails and
-    while they last. When none meets it, the QuadratureError drops the
-    cached Lambda samples.
+    while they last. When none meets it, it raises QuadratureError.
     """
-    global _evolved
     if k_max is not None or not is_critical(lam):
         return szego_sum(coeffs)
     k = 256
@@ -178,7 +172,6 @@ def _resolved_sum(coeffs: np.ndarray, lam: TrigPolynomial, k_max: int | None) ->
             return szego_sum(coeffs[: k + 1])
         except TailCriterionError as exc:
             if 2 * k >= coeffs.size:
-                _evolved = None
                 raise QuadratureError(
                     f"tail criterion still unmet at k_max={k}") from exc
             k *= 2
@@ -212,8 +205,6 @@ def parseval_check(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
     h = 2.0 * np.pi / grid
     half = grid // 2
     log_half = np.log(lambda_of_t(lam, beta, (np.arange(half) + 0.5) * h, t))
-    if np.ptp(log_half) == 0.0:
-        return 0.0
     # two periods of the mirrored half, so every wrapped sample run is one window;
     # row j of the double sum pairs window grid - j with window grid + j + 1
     log_spec = np.tile(np.concatenate((log_half, log_half[::-1])), 2)
@@ -289,9 +280,9 @@ def bk_bound(lam: TrigPolynomial, beta: TrigPolynomial, t: float,
              k_max: int | None = None) -> float:
     """Momentum-coefficient entropy bound (1/M^2) sum_{k>=1} k b_k^2.
 
-    The inequality against the Szego sum is only guaranteed for gapped
-    couplings; the chain check therefore lives with the callers that know the
-    coupling is gapped.
+    The inequality against the Szego sum, to _BK_CHAIN_TOL, is only
+    guaranteed for gapped couplings; the chain check therefore lives with the
+    callers that know the coupling is gapped.
     """
     partial = _resolved_sum(bk_coeffs(lam, beta, t, k_max), lam, k_max)
     M = spectrum_maximum(lam, beta, t)

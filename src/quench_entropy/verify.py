@@ -221,8 +221,10 @@ def _reduction_family(quick: bool) -> _Family:
             rec = reduction.entropy_record(dense, n, t)
             exact = rec.exact_entropy
             worst_resid = max(worst_resid, rec.identity_residual)
-            worst_slack1 = min(worst_slack1, exact - rec.neg_log_purity)
-            worst_slack2 = min(worst_slack2, rec.neg_log_purity - rec.det_bound)
+            # a product state's slacks are exactly 0; the minima are the coupled ones'
+            if dense[:n, n:].any():
+                worst_slack1 = min(worst_slack1, exact - rec.neg_log_purity)
+                worst_slack2 = min(worst_slack2, rec.neg_log_purity - rec.det_bound)
             # purity against the symplectic spectrum of the smaller-side route the
             # pipeline uses
             sym_nlp = reduction.symbol_record(state, n).neg_log_purity
@@ -241,9 +243,11 @@ def _reduction_family(quick: bool) -> _Family:
                      "translation_invariance", "complementary_cuts"):
             fam.check(name, False, failure)
     else:
-        fam.check("entropy_chain_slack", worst_slack1 >= -1e-8 and worst_slack2 >= -1e-8,
+        tol = reduction._CHAIN_TOL
+        fam.check("entropy_chain_slack", worst_slack1 >= -tol and worst_slack2 >= -tol,
                   f"min slacks {worst_slack1:.3g}, {worst_slack2:.3g}")
-        fam.check("block_inverse_identity", worst_resid < 1e-9, f"worst residual {worst_resid:.3g}")
+        fam.check("block_inverse_identity", worst_resid < reduction._RESIDUAL_TOL,
+                  f"worst residual {worst_resid:.3g}")
         fam.check("purity_vs_symplectic", worst_dual < 1e-9, f"worst gap {worst_dual:.3g}")
         fam.check("translation_invariance", worst_shift < 1e-10, f"worst shift defect {worst_shift:.3g}")
         fam.check("complementary_cuts", worst_swap < 1e-8, f"worst mismatch {worst_swap:.3g}")
@@ -291,7 +295,7 @@ def _szego_family(quick: bool) -> _Family:
             s = szego.szego_sum_for(lam, beta, float(t))
             bb = szego.bk_bound(lam, beta, float(t))
             worst = min(worst, s - bb)
-        return worst >= -1e-9, f"min slack {worst:.3g}"
+        return worst >= -szego._BK_CHAIN_TOL, f"min slack {worst:.3g}"
     fam.run("momentum_bound_below_szego", bound_ordering)
 
     def light_cone():

@@ -134,9 +134,12 @@ def test_pool_has_no_more_workers_than_rows(monkeypatch, capsys):
     assert sizes == [3, 2, 2]
 
 
-def test_uncoupled_rows_exactly_zero():
+@pytest.mark.parametrize("N", [15, 16, 17, 100])
+def test_uncoupled_rows_exactly_zero(N):
+    # decided from the mode symbols, so a size whose FFT leaves rounding in
+    # the circulant row gives exact zeros too
     res = run_cli("evolve", "--lambda", "poly:2.25", "--beta", "poly:1",
-                  "-N", "16", "--steps", "4", "--t1", "6.0")
+                  "-N", str(N), "--steps", "4", "--t1", "6.0")
     assert res.returncode == 0
     _, rows = parse_csv(res.stdout)
     for row in rows:
@@ -650,6 +653,15 @@ def test_fault_injection_fails_purity_vs_symplectic(monkeypatch):
     assert [c["name"] for c in checks if not c["passed"]] == ["purity_vs_symplectic"]
 
 
+def test_entropy_chain_slack_reports_coupled_instances():
+    # product-state draws have slacks of exactly 0 and are left out of the minima
+    checks = {c["name"]: c for c in _reduction_family(True).report()["checks"]}
+    detail = checks["entropy_chain_slack"]["detail"]
+    assert detail.startswith("min slacks ")
+    slacks = [float(v) for v in detail[len("min slacks "):].split(", ")]
+    assert len(slacks) == 2 and all(v > 0.0 for v in slacks), detail
+
+
 def test_fault_injection_fails_spectral_checks(monkeypatch, tmp_path, capsys):
     # a raising operation fails the spectral checks that call it, as in every
     # family; the other checks still run and the report is written
@@ -704,6 +716,29 @@ def test_compute_row_refuses_bk_above_szego(monkeypatch, capsys):
     rc = cli.main(["evolve", "--lambda", LAM15, "-N", "16", "--steps", "2", "--t1", "2.0"])
     assert rc == 3
     assert "exceeds the log-spectrum bound" in capsys.readouterr().err
+
+
+def _failed_checks(report):
+    return [f"{fam}.{c['name']}" for fam, r in sorted(report["families"].items())
+            for c in r["checks"] if not c["passed"]]
+
+
+def test_chain_tolerance_is_read_from_reduction(monkeypatch):
+    # the row gate and verify's chain check both read reduction's tolerance
+    monkeypatch.setattr(reduction, "_CHAIN_TOL", -1.0)
+    with pytest.raises(ConsistencyError, match="entropy bound chain violated"):
+        pipeline.compute_row(gap_family(1.5), TrigPolynomial([1.05, 0.05]), 16, 8, 2.0, None)
+    report = quench_entropy.run_verification("quick")
+    assert _failed_checks(report) == ["reduction.entropy_chain_slack"]
+
+
+def test_bk_chain_tolerance_is_read_from_szego(monkeypatch):
+    # the gapped row gate and verify's ordering check both read szego's tolerance
+    monkeypatch.setattr(szego, "_BK_CHAIN_TOL", -1.0)
+    with pytest.raises(ConsistencyError, match="momentum-coefficient bound .* exceeds"):
+        pipeline.compute_row(gap_family(1.5), TrigPolynomial([1.05, 0.05]), 16, 8, 2.0, None)
+    report = quench_entropy.run_verification("quick")
+    assert _failed_checks(report) == ["szego.momentum_bound_below_szego"]
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

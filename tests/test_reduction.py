@@ -458,10 +458,11 @@ def test_symbol_record_matches_dense_edges(lam, beta, N, n, t):
     _assert_matches_dense(lam, beta, N, n, t)
 
 
+@pytest.mark.parametrize("N", [15, 16, 17, 100])
 @pytest.mark.parametrize("lam", [TrigPolynomial([2.25]), TrigPolynomial([1.0])])
-def test_symbol_record_uncoupled_exactly_zero(lam):
+def test_symbol_record_uncoupled_exactly_zero(lam, N):
     for t in (0.0, 1.3, 6.0):
-        rec = _assert_matches_dense(lam, FLAT, 16, 8, t)
+        rec = _assert_matches_dense(lam, FLAT, N, N // 2, t)
         assert (rec.exact_entropy, rec.neg_log_purity, rec.det_bound) == (0.0, 0.0, 0.0)
         assert math.copysign(1.0, rec.neg_log_purity) == 1.0
         assert rec.identity_residual == 0.0

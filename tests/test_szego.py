@@ -112,6 +112,23 @@ def test_parseval_frozen_values():
         assert abs(got - _parseval_full_period(lam, FLAT, t, 8192)) <= 1e-13 * ref, t
 
 
+@pytest.mark.parametrize("grid", [4096, 8192])
+def test_parseval_uncoupled_is_exactly_zero(grid):
+    # equal samples subtract to exact zeros in every row of the double sum
+    assert parseval_check(TrigPolynomial([2.25]), FLAT, 1.0, grid=grid) == 0.0
+
+
+@pytest.mark.parametrize("value", [1.0, 1.0 / 3.0, 2.25, 123.456])
+def test_constant_samples_give_exact_coefficients(value):
+    # every quadrature grid is a power of two, where the mirrored constant
+    # samples transform to c_0 and exact zeros, with nothing aliased
+    for grid in (2 ** j for j in range(14, 21)):
+        coeffs, alias = szego._cosine_coeffs_once(np.full(grid // 2 + 1, value), grid // 4, grid)
+        assert coeffs[0] == value, grid
+        assert not coeffs[1:].any(), grid
+        assert alias == 0.0, grid
+
+
 def test_parseval_rejects_odd_grid():
     with pytest.raises(ValueError, match="grid must be even"):
         parseval_check(LAM15, FLAT, 1.0, grid=999)
@@ -415,13 +432,12 @@ def test_critical_retry_frozen_values():
 
 def test_bk_bound_critical_retry_cap(monkeypatch):
     # coefficients whose tail never becomes negligible exhaust the doubling
-    # at the last one resolved, and the cached samples are dropped
+    # at the last one resolved
     monkeypatch.setattr(szego, "bk_coeffs", lambda lam, beta, t, k: np.ones(4097))
     szego_sum_for(LAM15, FLAT, 1.0)
     with pytest.raises(QuadratureError, match="still unmet at k_max=4096") as exc_info:
         bk_bound(gap_family(0.5), FLAT, 1.0)
     assert isinstance(exc_info.value.__cause__, TailCriterionError)
-    assert szego._evolved is None
 
 
 def test_fit_linear_exact_line():
@@ -786,13 +802,12 @@ def test_resolved_row_samples_one_grid(monkeypatch):
 
 def test_under_resolved_grid_raises_without_k_max(monkeypatch):
     # gap c = 1.5 at t = 1000 needs 131072 points; a cap that allows only the
-    # first grid leaves the resolved sum unresolved, and its samples are dropped
+    # first grid leaves the resolved sum unresolved
     evolved = _count_sampling(monkeypatch)
     monkeypatch.setattr(szego, "_QUAD_CAP", 8192)
     with pytest.raises(QuadratureError, match="did not stabilize"):
         szego_sum_for(LAM15, FLAT, 1000.0)
     assert evolved == [8193]
-    assert szego._evolved is None
 
 
 @pytest.mark.parametrize("lam, t", [(gap_family(0.5), float("nan")),
@@ -805,7 +820,6 @@ def test_non_finite_samples_stop_on_the_first_pass(monkeypatch, lam, t):
         with pytest.raises(QuadratureError, match="not finite"):
             szego_sum_for(lam, FLAT, t)
     assert evolved == [8193] and passes == []
-    assert szego._evolved is None
 
 
 def test_k_max_beyond_the_cap_is_rejected_unsampled(monkeypatch):
@@ -823,14 +837,13 @@ def test_k_max_beyond_the_cap_is_rejected_unsampled(monkeypatch):
 
 
 def test_quadrature_failure_releases_sample_table(monkeypatch):
-    # a quadrature that gives up drops the cap-sized samples it made
+    # a quadrature that gives up has sampled each grid up to the cap once
     evolved = _count_sampling(monkeypatch)
     monkeypatch.setattr(szego, "_QUAD_CAP", 2 ** 14)
     monkeypatch.setattr(szego, "_COEFF_STABLE_TOL", 0.0)
     with pytest.raises(QuadratureError):
         log_symbol_coeffs(LAM15, FLAT, 3.0, 300)
     assert evolved == [2 ** 13 + 1, 2 ** 14 + 1]
-    assert szego._evolved is None
 
 
 def test_critical_retries_add_no_sample_pass(monkeypatch):
